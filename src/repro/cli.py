@@ -147,15 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--strict", action="store_true",
                      help="audit every run with the cross-layer invariant "
                           "checker and exit non-zero on any violation")
-    run.add_argument("--workers", type=int, default=1, metavar="N",
-                     help="execute acquisition units with N speculative "
-                          "prefetch workers (default 1 = serial; any N "
-                          "produces byte-identical results — workers only "
-                          "overlap simulated I/O latency)")
-    run.add_argument("--io-latency", type=float, default=0.0, metavar="S",
-                     help="sleep S real seconds per raw web round trip "
-                          "(simulated network latency; the quantity "
-                          "--workers overlaps)")
     run.add_argument("--registry", metavar="DIR",
                      help="after matching, assimilate the run's interfaces "
                           "into a canonical attribute registry persisted "
@@ -296,8 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="cap on Attr-Deep form submissions")
     request.add_argument("--query-budget", type=int, default=None,
                          help="cap on engine round trips per component")
-    request.add_argument("--workers", type=int, default=1, metavar="N",
-                         help="speculative prefetch workers (default 1)")
     request.add_argument("--json", metavar="PATH",
                          help="write the run export as JSON")
     request.add_argument("--strip-service", action="store_true",
@@ -495,14 +484,6 @@ def _supervisor_config(args):
 
 
 def _cmd_run(args) -> int:
-    if args.workers < 1:
-        raise SystemExit(
-            f"repro run: error: --workers must be at least 1, "
-            f"got {args.workers}")
-    if args.io_latency < 0:
-        raise SystemExit(
-            f"repro run: error: --io-latency must be non-negative, "
-            f"got {args.io_latency}")
     if args.registry is not None and args.domain == "all":
         raise SystemExit(
             "repro run: error: --registry needs a single --domain "
@@ -517,8 +498,6 @@ def _cmd_run(args) -> int:
         obs=_obs_config(args),
         checkpoint=_checkpoint_config(args),
         supervisor=_supervisor_config(args),
-        workers=args.workers,
-        io_latency=args.io_latency,
         registry=args.registry,
     )
     from repro.util.errors import PreemptionError, SupervisionExhaustedError
@@ -575,11 +554,6 @@ def _cmd_run(args) -> int:
                       f"use --degradation for details")
         if result.cache is not None:
             print(f"  {result.cache.summary()}")
-        if result.exec_stats is not None and (
-                result.exec_stats.workers > 1
-                or result.exec_stats.sleeps_paid
-                or result.exec_stats.sleeps_skipped):
-            print(f"  {result.exec_stats.summary()}")
         if result.checkpoint is not None:
             print(f"  {result.checkpoint.summary()}")
         if result.supervisor is not None:
@@ -709,7 +683,7 @@ def _scripted_request(entry, position: int):
         raise ValueError(f"request {position}: not an object")
     known = {"tenant", "domain", "interfaces", "seed", "deadline",
              "assimilate", "cost", "threshold", "fault_rate", "fault_seed",
-             "probe_budget", "query_budget", "workers"}
+             "probe_budget", "query_budget"}
     unknown = set(entry) - known
     if unknown:
         raise ValueError(
@@ -722,7 +696,6 @@ def _scripted_request(entry, position: int):
         fault_seed=entry.get("fault_seed", 0),
         probe_budget=entry.get("probe_budget"),
         query_budget=entry.get("query_budget"),
-        workers=entry.get("workers", 1),
     )
     return MatchRequest(
         tenant=entry.get("tenant", "anon"),
@@ -737,7 +710,7 @@ def _scripted_request(entry, position: int):
 
 
 def _service_run_config(*, threshold=0.0, fault_rate=0.0, fault_seed=0,
-                        probe_budget=None, query_budget=None, workers=1):
+                        probe_budget=None, query_budget=None):
     """A WebIQConfig for a service request (cache is forced on anyway)."""
     resilience = None
     if fault_rate > 0.0 or probe_budget is not None \
@@ -750,8 +723,7 @@ def _service_run_config(*, threshold=0.0, fault_rate=0.0, fault_seed=0,
             attr_surface_query_budget=query_budget,
             attr_deep_probe_budget=probe_budget,
         )
-    return WebIQConfig(threshold=threshold, resilience=resilience,
-                       workers=workers)
+    return WebIQConfig(threshold=threshold, resilience=resilience)
 
 
 def _cmd_serve(args) -> int:
@@ -851,10 +823,6 @@ def _cmd_request(args) -> int:
     if args.domain == "all":
         raise SystemExit(
             "repro request: error: needs a single --domain")
-    if args.workers < 1:
-        raise SystemExit(
-            f"repro request: error: --workers must be at least 1, "
-            f"got {args.workers}")
     if not 0.0 <= args.fault_rate <= 1.0:
         raise SystemExit(
             f"repro request: error: --fault-rate must be within [0, 1], "
@@ -867,7 +835,7 @@ def _cmd_request(args) -> int:
         config=_service_run_config(
             threshold=args.threshold, fault_rate=args.fault_rate,
             fault_seed=args.fault_seed, probe_budget=args.probe_budget,
-            query_budget=args.query_budget, workers=args.workers),
+            query_budget=args.query_budget),
         deadline_seconds=args.deadline,
         assimilate=args.registry is not None,
     )

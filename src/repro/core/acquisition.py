@@ -23,12 +23,9 @@ paper's intent (donors in its examples already have instances).
 
 The three phase loops are planned as an explicit
 :class:`~repro.exec.dag.ExecutionDAG` — one :class:`~repro.exec.dag.WorkUnit`
-per checkpoint unit, phases as barrier stages — and driven by a pluggable
-executor (:mod:`repro.exec.executors`). The default
-:class:`~repro.exec.executors.SerialExecutor` reproduces the classic
-loops exactly; the speculating pool overlaps simulated I/O latency while
-committing every unit on the calling thread in canonical order, so both
-produce bit-identical results.
+per checkpoint unit, phases as barrier stages — and run serially, unit by
+unit, in the DAG's canonical order. That order is the checkpoint journal's
+record order, so the plan *is* the journal-boundary layout.
 """
 
 from __future__ import annotations
@@ -45,7 +42,6 @@ from repro.deepweb.models import Attribute, QueryInterface
 from repro.deepweb.source import DeepWebSource
 from repro.exec.context import unit_scope
 from repro.exec.dag import ExecutionDAG, WorkUnit
-from repro.exec.executors import SerialExecutor
 from repro.matching.similarity import label_similarity, value_similarity, values_similar
 from repro.obs.instrument import Observability
 from repro.obs.provenance import (
@@ -170,7 +166,6 @@ class InstanceAcquirer:
         clock: Optional[SimulatedClock] = None,
         obs: Optional[Observability] = None,
         checkpoint: Optional[CheckpointSession] = None,
-        executor=None,
     ) -> None:
         """``engine`` and ``sources`` may be the raw substrates or the
         drop-in resilient proxies from :mod:`repro.resilience`; pass the
@@ -192,13 +187,7 @@ class InstanceAcquirer:
         ``checkpoint``, when given, brackets every per-attribute unit of
         work: completed units are journaled durably, and on resume the
         journaled ones are replayed without issuing a single engine query
-        or source probe (see :mod:`repro.checkpoint`).
-
-        ``executor``, when given, drives the planned unit DAG (see
-        :mod:`repro.exec.executors`); ``None`` uses a fresh
-        :class:`~repro.exec.executors.SerialExecutor`, the classic loop.
-        Whatever the executor, every unit's authoritative effects happen
-        on the calling thread in canonical order."""
+        or source probe (see :mod:`repro.checkpoint`)."""
         self.engine = engine
         self.sources = sources
         self.config = config
@@ -206,7 +195,6 @@ class InstanceAcquirer:
         self.clock = clock
         self.obs = obs
         self.checkpoint = checkpoint
-        self.executor = executor if executor is not None else SerialExecutor()
         self._interfaces: List[QueryInterface] = []
         self._domain_keywords: List[str] = []
         self._object_name: str = "object"
@@ -327,8 +315,6 @@ class InstanceAcquirer:
         on the interfaces and the enabled phases, never on what earlier
         units produced (per-unit gates like "Surface already reached k"
         stay *inside* the unit, preserving the journal-boundary layout).
-        That is what lets an executor dispatch speculation for units
-        whose predecessors have not committed yet.
         """
         dag = ExecutionDAG()
         if enable_surface:
@@ -363,23 +349,15 @@ class InstanceAcquirer:
 
     # ----------------------------------------------------------- execution
     def _run_phase(self, phase, report: AcquisitionReport) -> None:
-        """Drive one phase's units through the executor.
+        """Run one phase's units in canonical order.
 
         Accounting is accumulated per unit (not as one phase-wide counter
         delta): every query happens inside some unit, so the sum is
         identical — but per-unit deltas are what the checkpoint journal
-        records and what replay re-charges. The cost tally and the
-        phase-end clock charge run on the calling thread, like every
-        other authoritative effect.
+        records and what replay re-charges.
         """
-        cost = 0
-
-        def commit(unit: WorkUnit) -> None:
-            nonlocal cost
-            cost += self._execute_unit(unit)
-
         with self._phase(phase.name):
-            self.executor.run_phase(phase.units, commit)
+            cost = sum(self._execute_unit(unit) for unit in phase.units)
             if phase.name == "surface":
                 report.surface_queries += cost
                 if self.clock is not None:
@@ -394,11 +372,9 @@ class InstanceAcquirer:
                     self.clock.charge_search_query("attr_surface", cost)
 
     def _execute_unit(self, unit: WorkUnit) -> int:
-        """The authoritative serial body of one unit: replay it from the
-        journal if a record is pending, honour quarantine, else run it
-        fresh. Returns the unit's round-trip cost (queries, or probes for
-        ``attr_deep``). This is the ONE place a unit's observable effects
-        happen, whatever executor drives the DAG."""
+        """One unit: replay it from the journal if a record is pending,
+        honour quarantine, else run it fresh. Returns the unit's
+        round-trip cost (queries, or probes for ``attr_deep``)."""
         replayed = self._replayed(unit.phase, unit.interface, unit.attribute,
                                   unit.record)
         if replayed is not None:

@@ -40,7 +40,6 @@ revisions, and with it enabled only the observability artifacts differ.
 
 from __future__ import annotations
 
-import threading
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -57,14 +56,6 @@ from repro.core.acquisition import (
     InstanceAcquirer,
 )
 from repro.datasets.dataset import DomainDataset
-from repro.exec.executors import ExecStats, SerialExecutor, ThreadPoolExecutor
-from repro.exec.gateway import (
-    GatewayStats,
-    LatencyDeepWebSource,
-    LatencySearchEngine,
-    PrefetchLedger,
-)
-from repro.exec.spec import Speculator
 from repro.matching.clustering import IceQMatcher, MatchResult
 from repro.matching.metrics import MatchMetrics, evaluate_matches
 from repro.matching.similarity import SimilarityConfig
@@ -147,19 +138,6 @@ class WebIQConfig:
     #: not run identity — it never enters the journal meta, because the
     #: supervisor legitimately varies it between attempts of one run.
     supervisor: Optional[SupervisorConfig] = None
-    #: execution engine pool size. 1 (default) runs the classic serial
-    #: loop; N>1 overlaps simulated I/O latency with speculative prefetch
-    #: while committing every unit serially in canonical order — runs are
-    #: byte-identical for every worker count, so (like ``io_latency``)
-    #: this is scheduling, not run identity: excluded from the journal
-    #: meta and from JSON exports.
-    workers: int = 1
-    #: simulated seconds of *real wall-clock sleep* per raw round trip
-    #: (search query or form submission). 0.0 (default) keeps the
-    #: substrates instantaneous; positive values restore network physics
-    #: so the parallel executor has latency to overlap. Results are
-    #: identical for any value — only wall-clock time changes.
-    io_latency: float = 0.0
     #: directory to persist a canonical attribute registry to
     #: (:mod:`repro.registry`). ``None`` (default) builds none. When set,
     #: the run's post-acquisition interfaces are assimilated one at a
@@ -167,15 +145,9 @@ class WebIQConfig:
     #: against the batch clusters by the InvariantChecker. Registry
     #: construction is bookkeeping outside the run proper: it touches no
     #: clock account, no observability span and no export byte, so runs
-    #: with and without it are payload-identical (and like ``workers``
-    #: it never enters the journal meta).
+    #: with and without it are payload-identical (and it never enters
+    #: the journal meta).
     registry: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValidationError("workers must be at least 1")
-        if self.io_latency < 0:
-            raise ValidationError("io_latency must be non-negative")
 
     @property
     def webiq_enabled(self) -> bool:
@@ -209,10 +181,6 @@ class WebIQRunResult:
     supervisor: Optional[SupervisorReport] = None
     #: the dataset seed the run executed against (attributable diagnostics)
     seed: Optional[int] = None
-    #: execution-engine diagnostics (speculation/prefetch accounting).
-    #: In-memory only — deliberately excluded from JSON exports, which
-    #: must stay byte-identical across worker counts and latencies.
-    exec_stats: Optional[ExecStats] = None
     #: present iff the run persisted a registry (``config.registry``).
     #: In-memory only — excluded from JSON exports, which must stay
     #: byte-identical with and without a registry attached.
@@ -300,7 +268,6 @@ class WebIQMatcher:
         degradation: Optional[DegradationReport] = None
         cache_stats: Optional[CacheStats] = None
         checkpoint_report: Optional[CheckpointReport] = None
-        exec_stats: Optional[ExecStats] = None
         cache_engine: Optional[CachingSearchEngine] = None
         validation_cache: Optional[ValidationCache] = None
         with ExitStack() as run_scope:
@@ -312,37 +279,12 @@ class WebIQMatcher:
                     # Profiling: collect hot-path work counters for the
                     # whole run scope. Strictly read-only — the counters
                     # live outside the export payload, and only bumps
-                    # from this (serial commit) thread are accepted, so
-                    # speculative workers never skew the counts.
+                    # from this thread are accepted, so a concurrent
+                    # caller of a shared substrate never skews the counts.
                     run_scope.enter_context(collecting_counters(obs.counters))
             if self.config.webiq_enabled:
                 engine = dataset.engine
                 sources = dataset.sources
-                exec_stats = ExecStats(workers=self.config.workers)
-                ledger: Optional[PrefetchLedger] = None
-                gateway_stats: Optional[GatewayStats] = None
-                cancel: Optional[threading.Event] = None
-                if self.config.workers > 1 or self.config.io_latency > 0:
-                    # The latency gateway sits at the very BOTTOM of the
-                    # stack, directly around the raw substrates: only real
-                    # round trips sleep (cache hits and flaky fast-fails
-                    # never reach it), and the prefetch ledger can skip
-                    # exactly the sleeps a speculation already served.
-                    gateway_stats = GatewayStats()
-                    if self.config.workers > 1:
-                        ledger = PrefetchLedger()
-                        cancel = threading.Event()
-                    engine = LatencySearchEngine(
-                        engine, self.config.io_latency,
-                        ledger=ledger, stats=gateway_stats,
-                    )
-                    sources = {
-                        source_id: LatencyDeepWebSource(
-                            source, self.config.io_latency,
-                            ledger=ledger, stats=gateway_stats,
-                        )
-                        for source_id, source in sources.items()
-                    }
                 client: Optional[ResilientClient] = None
                 flaky_sources: Dict[str, FlakyDeepWebSource] = {}
                 if self.config.resilience is not None:
@@ -411,44 +353,15 @@ class WebIQMatcher:
                     engine, sources, self.config.acquisition,
                     resilience=client, validation_cache=validation_cache,
                     clock=clock, obs=obs, checkpoint=session,
-                    executor=SerialExecutor(exec_stats),
                 )
-                if self.config.workers > 1:
-                    speculator = Speculator(
-                        acquirer,
-                        raw_engine=dataset.engine,
-                        raw_sources=dataset.sources,
-                        resilience=self.config.resilience,
-                        cache_max_entries=(
-                            self.config.cache.max_entries
-                            if self.config.cache is not None else None
-                        ),
-                        cache_engine=cache_engine,
-                        client=client,
-                        session=session,
-                        latency=self.config.io_latency,
-                        cancel=cancel,
-                        stats=exec_stats,
-                    )
-                    acquirer.executor = ThreadPoolExecutor(
-                        self.config.workers,
-                        speculate=speculator.prepare,
-                        ledger=ledger,
-                        stats=exec_stats,
-                        cancel=cancel,
-                    )
-                try:
-                    acquisition = acquirer.acquire(
-                        dataset.interfaces,
-                        domain_keywords=dataset.spec.keyword_terms(),
-                        object_name=dataset.spec.object_name,
-                        enable_surface=self.config.enable_surface,
-                        enable_attr_deep=self.config.enable_attr_deep,
-                        enable_attr_surface=self.config.enable_attr_surface,
-                    )
-                finally:
-                    acquirer.executor.close()
-                    exec_stats.absorb(ledger, gateway_stats)
+                acquisition = acquirer.acquire(
+                    dataset.interfaces,
+                    domain_keywords=dataset.spec.keyword_terms(),
+                    object_name=dataset.spec.object_name,
+                    enable_surface=self.config.enable_surface,
+                    enable_attr_deep=self.config.enable_attr_deep,
+                    enable_attr_surface=self.config.enable_attr_surface,
+                )
                 if session is not None:
                     checkpoint_report = session.finalize()
                 if client is not None:
@@ -526,7 +439,6 @@ class WebIQMatcher:
             obs=obs,
             checkpoint=checkpoint_report,
             seed=dataset.seed,
-            exec_stats=exec_stats,
             registry=registry_report,
             cache_content=cache_content,
         )
@@ -556,11 +468,8 @@ class WebIQMatcher:
         a ``book`` journal into an ``airfare`` run, or a cached journal
         into an uncached one, would silently corrupt the result.
         Deliberately excluded: ``kill_at`` / ``preempt_at`` (injected
-        hostility), observability (read-only), ``workers`` /
-        ``io_latency`` (scheduling knobs — by design they cannot change
-        a single journal byte, so a serial run may resume a parallel
-        journal and vice versa), and ``registry`` (post-run bookkeeping
-        that cannot change a run byte either). A warm preload *is* run
+        hostility), observability (read-only), and ``registry`` (post-run
+        bookkeeping that cannot change a run byte). A warm preload *is* run
         identity (it decides which queries hit), so warm runs carry its
         fingerprint — and cold runs omit the key entirely, keeping their
         journals byte-compatible with earlier revisions.

@@ -1,43 +1,19 @@
-"""repro.exec — the parallel unit-DAG execution engine.
+"""repro.exec — the acquisition unit plan and per-unit random streams.
 
 The acquisition pipeline's work is an explicit DAG of checkpoint units
-(:mod:`repro.exec.dag`) driven by a pluggable executor
-(:mod:`repro.exec.executors`): :class:`SerialExecutor` is the classic
-loop, :class:`ThreadPoolExecutor` overlaps the units' simulated I/O
-latency with speculative prefetch while committing every observable
-effect serially, in canonical order — which is why any worker count
-produces byte-identical runs.
-
-Supporting pieces: the thread-local unit context that partitions random
-streams per unit (:mod:`repro.exec.context`), the latency gateway and
-prefetch ledger at the substrate boundary (:mod:`repro.exec.gateway`),
-and the snapshot-world speculator (:mod:`repro.exec.spec` — imported
-directly by the pipeline, not re-exported here, because it reaches into
-the core layers).
+(:mod:`repro.exec.dag`), run serially in canonical order; that order is
+the checkpoint journal's record order. Each unit runs inside
+:func:`unit_scope` (:mod:`repro.exec.context`), which partitions the
+sequential random streams per unit so a unit's draws never depend on
+which units ran before it or on where a resumed run picked up.
 """
 
 from repro.exec.context import UnitKey, current_unit, unit_scope
 from repro.exec.dag import ExecutionDAG, PhaseNode, WorkUnit
-from repro.exec.executors import ExecStats, SerialExecutor, ThreadPoolExecutor
-from repro.exec.gateway import (
-    GatewayStats,
-    LatencyDeepWebSource,
-    LatencySearchEngine,
-    PrefetchLedger,
-    SpeculationCancelled,
-)
 
 __all__ = [
-    "ExecStats",
     "ExecutionDAG",
-    "GatewayStats",
-    "LatencyDeepWebSource",
-    "LatencySearchEngine",
     "PhaseNode",
-    "PrefetchLedger",
-    "SerialExecutor",
-    "SpeculationCancelled",
-    "ThreadPoolExecutor",
     "UnitKey",
     "WorkUnit",
     "current_unit",

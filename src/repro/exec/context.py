@@ -1,21 +1,21 @@
 """Ambient *unit context*: which checkpoint unit this thread is executing.
 
-The parallel execution engine (:mod:`repro.exec`) partitions every
-sequential random stream — Deep-Web fault streams, backoff jitter — by
-checkpoint unit ``(phase, interface_id, attribute)``. A stream keyed by
-unit starts at position 0 whenever that unit runs, so its draws cannot
-depend on which units ran before it, on another thread's interleaving, or
-on how much of the run was replayed from a journal. That is what makes
-"no draw interleaving can differ from serial" a structural property
-instead of a scheduling accident, and it removes the need to fast-forward
+The acquisition pipeline partitions every sequential random stream —
+Deep-Web fault streams, backoff jitter — by checkpoint unit
+``(phase, interface_id, attribute)``. A stream keyed by unit starts at
+position 0 whenever that unit runs, so its draws cannot depend on which
+units ran before it or on how much of the run was replayed from a
+journal. That makes "a resumed run draws exactly what an uninterrupted
+one did" a structural property, and it removes the need to fast-forward
 streams on resume.
 
-The context is thread-local: the serial commit path and every speculative
-worker each bracket their unit's work with :func:`unit_scope`, and the
+The acquirer brackets each unit's work with :func:`unit_scope`, and the
 substrates ask :func:`current_unit` which per-unit stream to draw from.
-Code running outside any unit (direct substrate use in tests, the
-``discover`` CLI) sees ``None`` and falls back to the legacy shared
-streams, so standalone behaviour is unchanged.
+The context is thread-local, so a thread that shares a substrate with
+the run never sees the run's unit. Code running
+outside any unit (direct substrate use in tests, the ``discover`` CLI)
+sees ``None`` and falls back to the legacy shared streams, so standalone
+behaviour is unchanged.
 """
 
 from __future__ import annotations

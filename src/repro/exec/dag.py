@@ -3,16 +3,14 @@
 The acquisition pipeline's implicit structure — three phases, each a loop
 over ``(interface, attribute)`` pairs — becomes an explicit
 :class:`ExecutionDAG`: one :class:`WorkUnit` node per checkpoint unit,
-grouped into :class:`PhaseNode` stages. Dependencies are *barrier* edges:
-every unit of a phase depends on every unit of the previous phase (the
-Attr phases borrow from instance sets the Surface phase produced), and
-units within one phase have no edges between each other — they may be
-*speculated* concurrently, while their authoritative commits stay in the
-DAG's canonical order (see :mod:`repro.exec.executors`).
+grouped into :class:`PhaseNode` stages. Phases are barriers: the Attr
+phases borrow from instance sets the Surface phase produced, so every unit
+of a phase runs after every unit of the previous one.
 
 The canonical order — phases in plan order, units within a phase in
 enumeration order — is the exact iteration order of the pre-DAG serial
-loops, which is what lets the executors promise bit-identical results.
+loops and the order units are journaled in, so the plan defines the
+checkpoint journal's boundaries.
 """
 
 from __future__ import annotations
@@ -30,8 +28,8 @@ class WorkUnit:
     """One checkpoint unit: one ``(phase, interface, attribute)`` of work.
 
     Carries live references to the objects the unit mutates (the
-    attribute's ``acquired`` list, the acquisition record) so executors
-    can hand the unit around without knowing acquisition internals.
+    attribute's ``acquired`` list, the acquisition record) so the unit
+    can be handed around without knowing acquisition internals.
     """
 
     phase: str
@@ -45,7 +43,7 @@ class WorkUnit:
     def key(self) -> UnitKey:
         return (self.phase, self.interface.interface_id, self.attribute.name)
 
-    def __repr__(self) -> str:  # compact: shows up in executor diagnostics
+    def __repr__(self) -> str:  # compact: shows up in plan diagnostics
         return f"WorkUnit({'/'.join(self.key)})"
 
 
@@ -64,10 +62,8 @@ class ExecutionDAG:
     """Phases of work units with barrier dependencies between phases.
 
     Build it with :meth:`add_phase` (in execution order); iterate
-    :attr:`phases` to drive an executor, or :meth:`units` for the flat
-    canonical order. :meth:`predecessors` materialises the barrier edges
-    for introspection and tests — executors do not need them, because the
-    phase grouping *is* the dependency structure.
+    :attr:`phases` to run it, or :meth:`units` for the flat canonical
+    order. The phase grouping *is* the dependency structure.
     """
 
     def __init__(self) -> None:
@@ -101,15 +97,6 @@ class ExecutionDAG:
         return self._n_units
 
     def units(self) -> Iterator[WorkUnit]:
-        """All units in canonical (serial commit) order."""
+        """All units in canonical (serial, journal) order."""
         for phase in self._phases:
             yield from phase.units
-
-    def predecessors(self, unit: WorkUnit) -> List[WorkUnit]:
-        """The units that must commit before ``unit`` may: the whole
-        previous phase (barrier edges). Units of the first phase have
-        none; within a phase there are deliberately no edges."""
-        for i, phase in enumerate(self._phases):
-            if any(u is unit for u in phase.units):
-                return list(self._phases[i - 1].units) if i > 0 else []
-        raise ValueError(f"{unit!r} is not in this DAG")

@@ -292,12 +292,9 @@ def observability_to_dict(obs: Observability) -> Dict[str, Any]:
 def run_result_to_dict(result: WebIQRunResult) -> Dict[str, Any]:
     """A full pipeline run: config, metrics, clusters, overhead.
 
-    The execution layer is deliberately absent: ``config.workers``,
-    ``config.io_latency`` and ``result.exec_stats`` are scheduling
-    facts, not run identity. Excluding them is what lets the parallel
-    executor promise byte-identical exports at any worker count — an
-    export can't differ on them if it never mentions them. They stay
-    in-memory diagnostics (``result.exec_stats.summary()``).
+    In-memory diagnostics (``result.registry``, ``result.cache_content``)
+    are deliberately absent: they are not run identity, and an export
+    can't differ on them if it never mentions them.
     """
     provenance = (
         result.obs.provenance if result.obs is not None else None

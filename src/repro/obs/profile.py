@@ -18,8 +18,7 @@ The profile has two strictly separated sections:
     fingerprint a bench envelope can embed.
 ``wall``
     Host wall-clock attribution per span path (from the span's
-    ``perf_counter`` bounds, which never enter the trace export) plus the
-    exec layer's worker-utilization and prefetch-ledger rollups. Advisory
+    ``perf_counter`` bounds, which never enter the trace export). Advisory
     by nature: it varies machine to machine and run to run, which is
     exactly why it lives outside the digest — see DESIGN.md §16.
 
@@ -274,24 +273,6 @@ def build_profile(result) -> Dict[str, Any]:
             for stats in ordered
         ],
     }
-    exec_stats = getattr(result, "exec_stats", None)
-    if exec_stats is not None:
-        speculated = exec_stats.units_speculated
-        total = exec_stats.units_total
-        wall["exec"] = {
-            "workers": exec_stats.workers,
-            "units_total": total,
-            "units_speculated": speculated,
-            "speculation_failures": exec_stats.speculation_failures,
-            "worker_utilization": (speculated / total) if total else 0.0,
-            "prefetch": {
-                "credits_recorded": exec_stats.credits_recorded,
-                "credits_consumed": exec_stats.credits_consumed,
-                "sleeps_paid": exec_stats.sleeps_paid,
-                "sleeps_skipped": exec_stats.sleeps_skipped,
-                "seconds_paid": exec_stats.seconds_paid,
-            },
-        }
 
     return {
         "format": PROFILE_FORMAT,

@@ -310,9 +310,8 @@ class CachingSearchEngine:
     def snapshot_entries(self) -> List[Tuple[Tuple, Any]]:
         """The cache's content in recency order (cold to hot).
 
-        The speculative executor copies this into each worker's isolated
-        cache clone so a speculation predicts the same hit/miss pattern —
-        and therefore the same raw round trips — as the upcoming commit.
+        :meth:`CachePreload.capture` copies this so a warm run replays
+        the donor run's content and recency exactly.
         """
         return self._cache.items()
 
@@ -372,7 +371,7 @@ class ValidationCache:
         )
 
     def clone(self) -> "ValidationCache":
-        """An independent copy (snapshot isolation for speculative runs)."""
+        """An independent copy (a preload never aliases the donor run)."""
         copy = ValidationCache()
         copy.phrase_hits = dict(self.phrase_hits)
         copy.candidate_hits = dict(self.candidate_hits)

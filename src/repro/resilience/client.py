@@ -384,9 +384,8 @@ class ResilientClient:
         #: streams need no fast-forward on resume)
         self.backoff_draws = 0
         #: per-thread mutable call state (active component, in-flight
-        #: attempt index). Thread-local so concurrent units — e.g. the
-        #: parallel executor's speculative workers — cannot race each
-        #: other's ambient state.
+        #: attempt index). Thread-local so threads sharing one client
+        #: cannot race each other's ambient state.
         self._local = threading.local()
         #: optional :class:`~repro.obs.Observability` bundle; when attached,
         #: every retry-loop decision is traced and counted. Strictly
@@ -414,8 +413,9 @@ class ResilientClient:
 
         Flaky wrappers read it (via ``attempt_provider``) to key
         per-attempt fault fates, so a retry re-rolls where a re-issue
-        replays. Thread-local: one worker's retry loop must never leak its
-        attempt index into the fault fates another thread is rolling.
+        replays. Thread-local: when threads share one client, one thread's
+        retry loop must never leak its attempt index into the fault fates
+        another thread is rolling.
         """
         return getattr(self._local, "attempt", 0)
 
@@ -642,9 +642,9 @@ class ResilientSearchEngine:
     happened; cache layers above read it to avoid memoising a degraded
     answer as if it were the query's real one.
 
-    ``last_degraded`` is **thread-local** (the same treatment the PR-7
-    audit gave ``ResilientClient.current_attempt``): one proxy may be
-    shared by concurrent tenants with different budgets, and a plain
+    ``last_degraded`` is **thread-local** (like
+    ``ResilientClient.current_attempt``): one proxy may be shared by
+    concurrent callers with different budgets, and a plain
     instance attribute would let tenant B's budget-exhausted degradation
     flip the flag between tenant A's fetch and A's cleanliness check —
     the cache above then refuses to memoise A's perfectly clean answer

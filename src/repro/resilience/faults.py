@@ -35,11 +35,10 @@ keep sequential streams (probes are stateful submissions), partitioned
 per ``(source, checkpoint unit)``: inside a unit scope (see
 :mod:`repro.exec.context`) the stream is derived from the unit key and
 starts at position 0, so a unit's fates are independent of which units
-ran before it, of worker interleaving under the parallel executor, and
-of where a resumed run picks up — no fast-forwarding needed. Outside any
-unit (direct use in tests) the legacy per-source sequential stream
-applies unchanged. With ``fault_rate=0.0`` the wrappers are exact
-pass-throughs: results, counters and downstream RNG streams are
+ran before it and of where a resumed run picks up — no fast-forwarding
+needed. Outside any unit (direct use in tests) the legacy per-source
+sequential stream applies unchanged. With ``fault_rate=0.0`` the wrappers
+are exact pass-throughs: results, counters and downstream RNG streams are
 bit-identical to the unwrapped substrates.
 """
 

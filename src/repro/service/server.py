@@ -189,7 +189,7 @@ class ServiceStats:
     Deliberately wall-clock-free: "latency" is simulated seconds from the
     runs' stopwatches, so two identical workloads produce byte-identical
     stats (the determinism the service suite asserts). Real wall clocks
-    stay in-memory diagnostics, exactly like ``exec_stats``.
+    stay in-memory diagnostics, outside the ledger.
     """
 
     def __init__(self) -> None:

@@ -321,12 +321,9 @@ class RunSupervisor:
     tests and the chaos CI job inject any deterministic kill/corruption
     schedule. Production use passes neither.
 
-    Restart attempts reuse the run config verbatim, including
-    ``workers`` / ``io_latency``: the journal is executor-agnostic (the
-    parallel executor commits units in the same canonical order the
-    serial one does), so a crashed parallel attempt may be resumed
-    parallel, serial, or at any other worker count without affecting a
-    byte of the result.
+    Restart attempts reuse the run config verbatim: units are journaled
+    in the plan's canonical order, so a resumed attempt replays exactly
+    the prefix the crashed one committed.
     """
 
     def __init__(

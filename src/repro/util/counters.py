@@ -19,12 +19,12 @@ Design constraints, in order of importance:
 2. **Free when off.** The default state is "no collector installed": the
    per-site cost is one module-attribute load and a ``None`` check. The
    pipeline only installs a collector when ``ObsConfig.profile`` is set.
-3. **Deterministic under the parallel executor.** Speculative workers run
-   the same substrate code on worker threads against snapshot worlds;
-   counting their work would make counter values depend on scheduling.
-   A collector therefore only accepts bumps from the thread that
-   installed it — the serial commit thread — so counts are identical at
-   every worker count, for the same reason traces are.
+3. **Deterministic when substrates are shared across threads.** Another
+   thread calling into a shared engine or source would otherwise bump
+   this run's counters, making counter values depend on scheduling. A
+   collector therefore only accepts bumps from the thread that installed
+   it — the thread running the pipeline — so counts depend on the run
+   alone, for the same reason traces do.
 
 Usage at a counter site (the fast-path guard is deliberately inlined at
 each site rather than hidden behind a function call)::
@@ -63,9 +63,9 @@ class WorkCounters:
     def bump(self, name: str, n: int = 1) -> None:
         """Add ``n`` to counter ``name`` — ignored off the owning thread.
 
-        The thread guard is what keeps counts deterministic under the
-        speculative executor: workers re-run substrate code purely to
-        prefetch latency, and their work must not be double-counted.
+        The thread guard is what keeps counts deterministic: work done
+        on another thread through a shared substrate belongs to that
+        thread's caller, not to this run.
         """
         if self._owner is not None and threading.get_ident() != self._owner:
             return

@@ -453,6 +453,10 @@ class TestServiceCommands:
         assert "unknown keys" in capsys.readouterr().err
 
         assert main(["serve", "--script", self.script(
+            tmp_path, [{"domain": "book", "workers": 4}])]) == 2
+        assert "unknown keys ['workers']" in capsys.readouterr().err
+
+        assert main(["serve", "--script", self.script(
             tmp_path, [{"tenant": "a"}])]) == 2
         assert "missing 'domain'" in capsys.readouterr().err
 
@@ -503,8 +507,6 @@ class TestServiceCommands:
     def test_request_validations(self):
         with pytest.raises(SystemExit, match="single"):
             main(["request", "--domain", "all"])
-        with pytest.raises(SystemExit, match="workers"):
-            main(["request", "--domain", "book", "--workers", "0"])
         with pytest.raises(SystemExit, match="fault-rate"):
             main(["request", "--domain", "book", "--fault-rate", "1.5"])
 
@@ -516,7 +518,6 @@ class TestServiceCommands:
         args = build_parser().parse_args(["request", "--domain", "book"])
         assert args.tenant == "cli"
         assert args.deadline is None
-        assert args.workers == 1
         assert args.strip_service is False
 
     def test_serve_persists_registry_for_assimilating_requests(

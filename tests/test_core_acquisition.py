@@ -2,9 +2,15 @@
 
 import pytest
 
-from repro.core.acquisition import AcquisitionConfig, InstanceAcquirer
+from repro.core.acquisition import (
+    AcquisitionConfig,
+    AcquisitionRecord,
+    AcquisitionReport,
+    InstanceAcquirer,
+)
 from repro.datasets import build_domain_dataset
 from repro.deepweb.models import AttributeKind
+from repro.exec import ExecutionDAG, WorkUnit
 
 
 @pytest.fixture()
@@ -143,7 +149,81 @@ class TestReport:
             report.record_for("nope", "nope")
 
     def test_empty_dataset_rates(self):
-        from repro.core.acquisition import AcquisitionReport
         report = AcquisitionReport()
         assert report.surface_success_rate == 0.0
         assert report.final_success_rate == 0.0
+
+
+class _Iface:
+    def __init__(self, iid):
+        self.interface_id = iid
+
+
+class _Attr:
+    def __init__(self, name):
+        self.name = name
+
+
+def _unit(phase, iface, attr):
+    return WorkUnit(phase, _Iface(iface), _Attr(attr), record=None)
+
+
+class TestExecutionDAG:
+    """The unit plan: its canonical order is the journal's record order."""
+
+    def build(self):
+        dag = ExecutionDAG()
+        dag.add_phase("surface", [_unit("surface", "if0", "a"),
+                                  _unit("surface", "if0", "b")])
+        dag.add_phase("attr_deep", [_unit("attr_deep", "if1", "c")])
+        return dag
+
+    def test_canonical_order_is_plan_order(self):
+        dag = self.build()
+        assert [u.key for u in dag.units()] == [
+            ("surface", "if0", "a"),
+            ("surface", "if0", "b"),
+            ("attr_deep", "if1", "c"),
+        ]
+        assert [u.index for u in dag.units()] == [0, 1, 2]
+        assert dag.n_units == 3
+        assert [p.name for p in dag.phases] == ["surface", "attr_deep"]
+
+    def test_rejects_duplicate_phase(self):
+        dag = self.build()
+        with pytest.raises(ValueError, match="duplicate phase"):
+            dag.add_phase("surface", [])
+
+    def test_rejects_mismatched_unit(self):
+        dag = ExecutionDAG()
+        with pytest.raises(ValueError, match="declares phase"):
+            dag.add_phase("surface", [_unit("attr_deep", "if0", "a")])
+
+    def test_pipeline_plan_covers_every_checkpoint_unit(self):
+        """The DAG enumerates exactly the pre-DAG serial iteration."""
+        dataset = build_domain_dataset("book", 3, 1)
+        acquirer = InstanceAcquirer(dataset.engine, dataset.sources)
+        report = AcquisitionReport()
+        for interface in dataset.interfaces:
+            for attribute in interface.attributes:
+                report.records.append(AcquisitionRecord(
+                    interface_id=interface.interface_id,
+                    attribute=attribute.name,
+                    label=attribute.label,
+                    had_instances=attribute.has_instances,
+                ))
+        dag = acquirer.plan(dataset.interfaces, report)
+        assert [p.name for p in dag.phases] == [
+            "surface", "attr_deep", "attr_surface"]
+        keys = [u.key for u in dag.units()]
+        assert len(keys) == len(set(keys))  # no unit twice
+        # every non-prefilled attribute appears in surface and attr_deep;
+        # every prefilled one in attr_surface
+        for interface in dataset.interfaces:
+            for attribute in interface.attributes:
+                expected = (("attr_surface",) if attribute.has_instances
+                            else ("surface", "attr_deep"))
+                phases = [k[0] for k in keys
+                          if k[1:] == (interface.interface_id,
+                                       attribute.name)]
+                assert tuple(phases) == expected

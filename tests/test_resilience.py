@@ -427,14 +427,13 @@ class TestResilientClient:
     def test_current_attempt_is_per_thread(self):
         """A concurrent call must not clobber another thread's attempt.
 
-        Regression test for the order-dependence bug the parallel
-        executor exposed: ``current_attempt`` was a plain instance
-        attribute, so a speculative worker's fresh ``call`` (attempt 0)
-        reset the attempt index the commit thread's retry loop was
-        mid-way through — re-keying its fault fates from re-roll back to
-        replay. Thread A retries into attempt 1, then parks while thread
-        B completes a call on the *same* client; A must still see its
-        own attempt index afterwards.
+        Regression test for an order-dependence bug: ``current_attempt``
+        was a plain instance attribute, so another thread's fresh
+        ``call`` (attempt 0) reset the attempt index this thread's retry
+        loop was mid-way through — re-keying its fault fates from re-roll
+        back to replay. Thread A retries into attempt 1, then parks while
+        thread B completes a call on the *same* client; A must still see
+        its own attempt index afterwards.
         """
         client = ResilientClient(
             ResilienceConfig(retry=RetryPolicy(max_attempts=3)))

@@ -4,7 +4,7 @@ An admitted request's export must be byte-identical — after stripping
 the format-5 ``service`` section — to the same run executed standalone
 with the same effective config and the parent epoch's
 :class:`~repro.perf.CachePreload` applied, across the faults × cache ×
-checkpoint × workers grid, at several seeded tenant interleavings, and
+checkpoint grid, at several seeded tenant interleavings, and
 regardless of what happened to *other* tenants' requests around it
 (shed, deadline-expired, rejected at the door). On top of the byte
 oracle: zero :mod:`repro.obs.invariants` violations on every replayed
@@ -79,7 +79,6 @@ GRID = [
         WebIQConfig(resilience=ResilienceConfig(
             profile=FaultProfile(fault_rate=0.25, seed=11))),
         None, id="faults"),
-    pytest.param(WebIQConfig(workers=3), None, id="workers"),
     # A generous deadline attaches the checkpoint spool + supervisor but
     # lets the run complete: the checkpointed corner of the grid.
     pytest.param(WebIQConfig(), 1000.0, id="checkpoint"),
@@ -87,7 +86,7 @@ GRID = [
 
 
 class TestEquivalenceGrid:
-    """Byte-identical exports across faults × cache × checkpoint × workers."""
+    """Byte-identical exports across faults × cache × checkpoint."""
 
     @pytest.mark.parametrize("config, deadline", GRID)
     def test_service_runs_equal_standalone(self, config, deadline, tmp_path):
