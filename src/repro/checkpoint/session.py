@@ -37,9 +37,9 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.checkpoint.journal import RunJournal
-from repro.perf.cache import CachingSearchEngine, ValidationCache
+from repro.perf.cache import QueryCache, ValidationCache
 from repro.resilience.client import ResilientClient
-from repro.resilience.faults import FlakyDeepWebSource, KillSwitch
+from repro.resilience.faults import FaultInjector, KillSwitch
 from repro.surfaceweb.engine import SearchResult
 from repro.util.errors import (
     DeadlineExceededError,
@@ -186,13 +186,12 @@ class CheckpointSession:
         # are replayable — records this process appends are *fresh*, and
         # must never be re-consumed by the unit that follows them.
         self._replay_limit = len(journal.records)
-        # Substrate references (attached by the pipeline once the layer
-        # stack is built).
+        # The run's Web stack (attached by the pipeline once it is built).
         self._engine: Any = None
         self._sources: Dict[str, Any] = {}
-        self._cache_engine: Optional[CachingSearchEngine] = None
+        self._cache: Optional[QueryCache] = None
         self._client: Optional[ResilientClient] = None
-        self._flaky_sources: Dict[str, FlakyDeepWebSource] = {}
+        self._faults: Optional[FaultInjector] = None
         # Memo stores (registered by the acquirer).
         self._validation_stores: Dict[str, ValidationCache] = {}
         self._probe_memo: Optional[Dict[tuple, bool]] = None
@@ -207,27 +206,21 @@ class CheckpointSession:
         self._fresh_seconds = 0.0
 
     # --------------------------------------------------------------- wiring
-    def attach_substrates(
-        self,
-        engine: Any,
-        sources: Dict[str, Any],
-        cache_engine: Optional[CachingSearchEngine] = None,
-        client: Optional[ResilientClient] = None,
-        flaky_sources: Optional[Dict[str, FlakyDeepWebSource]] = None,
-    ) -> None:
-        """Point the session at the run's layer stack.
+    def attach_substrates(self, stack: Any) -> None:
+        """Point the session at the run's :class:`~repro.webstack.WebStack`.
 
-        ``engine``/``sources`` are the *top-of-stack* objects the acquirer
-        talks to (their counters delegate to the raw substrates, so deltas
-        measure real round trips only).
+        Its ``engine``/``sources`` facades are what the acquirer talks to
+        (their counters read the raw substrates, so deltas measure real
+        round trips only); its ``cache``, ``client`` and ``faults`` layer
+        states are what a journal record snapshots and replay restores.
         """
-        self._engine = engine
-        self._sources = dict(sources)
-        self._cache_engine = cache_engine
-        self._client = client
-        self._flaky_sources = dict(flaky_sources or {})
-        if cache_engine is not None:
-            cache_engine.oplog = self._ops.append
+        self._engine = stack.engine
+        self._sources = dict(stack.sources)
+        self._cache = stack.cache
+        self._client = stack.client
+        self._faults = stack.faults
+        if self._cache is not None:
+            self._cache.oplog = self._ops.append
 
     def register_validation_store(self, name: str,
                                   store: ValidationCache) -> None:
@@ -301,7 +294,7 @@ class CheckpointSession:
             for raw_key, verdict in body["probe_memo"]:
                 self._probe_memo[tuple(raw_key)] = verdict
         if body["cache_ops"]:
-            if self._cache_engine is None:
+            if self._cache is None:
                 raise JournalMismatchError(
                     f"record {body['index']}: journal carries cache ops "
                     "but this run has no query cache"
@@ -320,14 +313,14 @@ class CheckpointSession:
         return ReplayedUnit(queries=body["queries"], probes=body["probes"])
 
     def _apply_cache_ops(self, index: int, ops: List[List[Any]]) -> None:
-        assert self._cache_engine is not None
+        assert self._cache is not None
         for op in ops:
             try:
                 if op[0] == "h":
-                    self._cache_engine.replay_hit(tuple(op[1]))
+                    self._cache.replay_hit(tuple(op[1]))
                 elif op[0] == "s":
                     key = tuple(op[1])
-                    self._cache_engine.replay_store(
+                    self._cache.replay_store(
                         key, _decode_value(key[0], op[2])
                     )
                 else:
@@ -480,12 +473,12 @@ class CheckpointSession:
         state: Dict[str, Any] = {}
         if self._client is not None:
             state["client"] = self._client.state_payload()
-        if self._cache_engine is not None:
-            state["cache_stats"] = self._cache_engine.stats.state_payload()
-        if self._flaky_sources:
+        if self._cache is not None:
+            state["cache_stats"] = self._cache.stats.state_payload()
+        if self._faults is not None and self._sources:
             state["source_draws"] = {
-                source_id: flaky.draws
-                for source_id, flaky in sorted(self._flaky_sources.items())
+                source_id: self._faults.draws.get(source_id, 0)
+                for source_id in sorted(self._sources)
             }
         return state
 
@@ -500,15 +493,14 @@ class CheckpointSession:
             self._client.restore_state(client_state)
         cache_state = state.get("cache_stats")
         if cache_state is not None:
-            if self._cache_engine is None:
+            if self._cache is None:
                 raise JournalMismatchError(
                     "journal carries cache stats but this run has no "
                     "query cache"
                 )
-            self._cache_engine.stats.restore_state(cache_state)
+            self._cache.stats.restore_state(cache_state)
         for source_id, draws in state.get("source_draws", {}).items():
-            flaky = self._flaky_sources.get(source_id)
-            if flaky is None:
+            if self._faults is None or source_id not in self._sources:
                 raise JournalMismatchError(
                     f"journal carries fault-stream state for source "
                     f"{source_id!r} this run does not wrap"
@@ -516,7 +508,7 @@ class CheckpointSession:
             # Fault streams are partitioned per unit and start at position
             # 0 whenever their unit runs, so there is nothing to
             # fast-forward — only the accounting counter is restored.
-            flaky.draws = draws
+            self._faults.draws[source_id] = draws
 
 
 def open_session(config: CheckpointConfig, meta: Dict[str, Any],

@@ -168,8 +168,8 @@ class InstanceAcquirer:
         checkpoint: Optional[CheckpointSession] = None,
     ) -> None:
         """``engine`` and ``sources`` may be the raw substrates or the
-        drop-in resilient proxies from :mod:`repro.resilience`; pass the
-        proxies' shared ``resilience`` client to enable per-component
+        facades of a :func:`~repro.webstack.build_web_stack` call chain;
+        pass the chain's ``resilience`` client to enable per-component
         budget attribution and graceful budget-exhaustion skipping.
 
         ``validation_cache``, when given, is shared by Surface discovery

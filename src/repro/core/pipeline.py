@@ -11,25 +11,32 @@ every component on a :class:`~repro.util.clock.SimulatedClock`:
 - matching is charged a nominal per-similarity-evaluation cost calibrated
   to the paper's 2006 hardware, so Figure 8's relative shape is preserved.
 
+Components reach the Web through one call chain built by
+:func:`~repro.webstack.build_web_stack`, which holds the layer order::
+
+    entry observe -> cache -> transport observe -> retry -> fault -> substrate
+
+Only the layers the configuration enables are present.
+
 When a :class:`~repro.resilience.ResilienceConfig` is attached, the run
-executes against fault-injected substrates behind the resilient proxies:
+executes against fault-injected substrates behind the retry layer:
 retried round trips flow into the ordinary per-component accounts (they
 were real round trips), backoff waits are charged to ``<component>_retry``
 accounts, and the resulting :class:`~repro.resilience.DegradationReport`
 rides on the run result — Figure 8's overhead then reflects what surviving
 a flaky Web actually costs.
 
-When a :class:`~repro.perf.CacheConfig` is attached, the search engine is
-additionally wrapped in a :class:`~repro.perf.CachingSearchEngine` sitting
-*above* the resilient proxy: cache hits never reach the retry loop, so
+When a :class:`~repro.perf.CacheConfig` is attached, the engine chain
+gains a cache layer (:class:`~repro.perf.QueryCache`) *above* the retry
+layer: cache hits never reach the retry loop, so
 they consume no query budget, charge no latency, and leave the stopwatch
 untouched — only real round trips bill. The resulting
 :class:`~repro.perf.CacheStats` rides on the run result.
 
 When an :class:`~repro.obs.ObsConfig` is attached, the run is traced: a
-root ``run`` span with one child span per pipeline phase, observed
-pass-through layers above the cache (``entry``) and above the resilient
-proxy (``transport``), and metrics counters everywhere the other layers
+root ``run`` span with one child span per pipeline phase, observe layers
+above the cache (``entry``) and above the retry layer (``transport``),
+and metrics counters everywhere the other layers
 make a decision. The resulting :class:`~repro.obs.Observability` bundle
 rides on the run result, where the
 :class:`~repro.obs.InvariantChecker` can audit it against the stopwatch,
@@ -61,37 +68,21 @@ from repro.matching.metrics import MatchMetrics, evaluate_matches
 from repro.matching.similarity import SimilarityConfig
 from repro.registry.assimilate import RegistryReport, build_registry
 from repro.registry.store import RegistryStore
-from repro.obs.instrument import (
-    LAYER_ENTRY,
-    LAYER_TRANSPORT,
-    Observability,
-    ObsConfig,
-    ObservedDeepWebSource,
-    ObservedSearchEngine,
-)
+from repro.obs.instrument import Observability, ObsConfig
 from repro.perf.cache import (
     CacheConfig,
     CachePreload,
     CacheStats,
-    CachingSearchEngine,
+    QueryCache,
     ValidationCache,
 )
-from repro.resilience.client import (
-    DegradationReport,
-    ResilienceConfig,
-    ResilientClient,
-    ResilientDeepWebSource,
-    ResilientSearchEngine,
-)
-from repro.resilience.faults import (
-    FlakyDeepWebSource,
-    FlakySearchEngine,
-    KillSwitch,
-)
+from repro.resilience.client import DegradationReport, ResilienceConfig
+from repro.resilience.faults import KillSwitch
 from repro.supervisor import SupervisorConfig, SupervisorReport
 from repro.util.clock import SimulatedClock, StopwatchReport
 from repro.util.counters import collecting as collecting_counters
 from repro.util.errors import ResumeError, ValidationError
+from repro.webstack import build_web_stack
 
 __all__ = ["WebIQConfig", "WebIQRunResult", "WebIQMatcher"]
 
@@ -266,9 +257,8 @@ class WebIQMatcher:
 
         acquisition: Optional[AcquisitionReport] = None
         degradation: Optional[DegradationReport] = None
-        cache_stats: Optional[CacheStats] = None
         checkpoint_report: Optional[CheckpointReport] = None
-        cache_engine: Optional[CachingSearchEngine] = None
+        cache: Optional[QueryCache] = None
         validation_cache: Optional[ValidationCache] = None
         with ExitStack() as run_scope:
             if obs is not None:
@@ -283,52 +273,15 @@ class WebIQMatcher:
                     # caller of a shared substrate never skews the counts.
                     run_scope.enter_context(collecting_counters(obs.counters))
             if self.config.webiq_enabled:
-                engine = dataset.engine
-                sources = dataset.sources
-                client: Optional[ResilientClient] = None
-                flaky_sources: Dict[str, FlakyDeepWebSource] = {}
-                if self.config.resilience is not None:
-                    client = ResilientClient(self.config.resilience, obs=obs)
-                    profile = self.config.resilience.profile
-                    engine = ResilientSearchEngine(
-                        FlakySearchEngine(
-                            engine, profile,
-                            on_fault=client.note_injected_fault,
-                            attempt_provider=lambda: client.current_attempt,
-                        ),
-                        client,
-                    )
-                    # The flaky wrappers are kept by id: a resumed run must
-                    # fast-forward each source's fault-fate stream to where
-                    # the killed process left it.
-                    flaky_sources = {
-                        source_id: FlakyDeepWebSource(
-                            source, profile,
-                            on_fault=client.note_injected_fault,
-                        )
-                        for source_id, source in sources.items()
-                    }
-                    sources = {
-                        source_id: ResilientDeepWebSource(flaky, client)
-                        for source_id, flaky in flaky_sources.items()
-                    }
-                if obs is not None:
-                    # Transport layer: everything crossing here heads for
-                    # the (possibly flaky) Web — cache hits never do.
-                    engine = ObservedSearchEngine(engine, obs, LAYER_TRANSPORT)
-                    sources = {
-                        source_id: ObservedDeepWebSource(source, obs)
-                        for source_id, source in sources.items()
-                    }
-                if self.config.cache is not None:
-                    # The cache sits ABOVE the resilient proxy: a hit is
-                    # served before the retry loop runs, so it consumes no
-                    # query budget and charges no latency or backoff.
-                    cache_engine = CachingSearchEngine(
-                        engine, self.config.cache.max_entries, obs=obs
-                    )
-                    engine = cache_engine
-                    cache_stats = cache_engine.stats
+                stack = build_web_stack(
+                    dataset.engine, dataset.sources,
+                    resilience=self.config.resilience,
+                    cache=self.config.cache,
+                    obs=obs,
+                )
+                client = stack.client
+                cache = stack.cache
+                if cache is not None:
                     validation_cache = ValidationCache()
                     if warm is not None:
                         # Warm start: seed content and recency BEFORE any
@@ -337,20 +290,11 @@ class WebIQMatcher:
                         # every journaled op). Stats stay at zero — the
                         # warm run counts its own hits against the
                         # preloaded content.
-                        warm.apply(cache_engine, validation_cache)
-                if obs is not None:
-                    # Entry layer: every call a component issues, whether
-                    # the cache answers it or not.
-                    engine = ObservedSearchEngine(engine, obs, LAYER_ENTRY)
+                        warm.apply(cache, validation_cache)
                 if session is not None:
-                    session.attach_substrates(
-                        engine, sources,
-                        cache_engine=cache_engine,
-                        client=client,
-                        flaky_sources=flaky_sources,
-                    )
+                    session.attach_substrates(stack)
                 acquirer = InstanceAcquirer(
-                    engine, sources, self.config.acquisition,
+                    stack.engine, stack.sources, self.config.acquisition,
                     resilience=client, validation_cache=validation_cache,
                     clock=clock, obs=obs, checkpoint=session,
                 )
@@ -421,12 +365,11 @@ class WebIQMatcher:
                     directory=self.config.registry,
                 )
         cache_content: Optional[CachePreload] = None
-        if cache_engine is not None:
+        if cache is not None:
             # The post-run cache content, as the warm-start input a later
             # run (or the matching service's next epoch) can be seeded
             # with. Captured after everything that can touch the cache.
-            cache_content = CachePreload.capture(cache_engine,
-                                                 validation_cache)
+            cache_content = CachePreload.capture(cache, validation_cache)
         return WebIQRunResult(
             domain=dataset.domain,
             config=self.config,
@@ -435,7 +378,7 @@ class WebIQMatcher:
             acquisition=acquisition,
             stopwatch=clock.report(),
             degradation=degradation,
-            cache=cache_stats,
+            cache=cache.stats if cache is not None else None,
             obs=obs,
             checkpoint=checkpoint_report,
             seed=dataset.seed,

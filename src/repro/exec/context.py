@@ -10,12 +10,13 @@ one did" a structural property, and it removes the need to fast-forward
 streams on resume.
 
 The acquirer brackets each unit's work with :func:`unit_scope`, and the
-substrates ask :func:`current_unit` which per-unit stream to draw from.
+fault and retry layers ask :func:`current_unit` which per-unit stream
+to draw from.
 The context is thread-local, so a thread that shares a substrate with
 the run never sees the run's unit. Code running
 outside any unit (direct substrate use in tests, the ``discover`` CLI)
-sees ``None`` and falls back to the legacy shared streams, so standalone
-behaviour is unchanged.
+sees ``None``; the streams then use the empty unit key ``()``, one
+shared stream per source and one for backoff jitter.
 """
 
 from __future__ import annotations

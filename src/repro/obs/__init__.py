@@ -1,7 +1,9 @@
 """Run-trace observability: tracer, metrics, and the invariant oracle.
 
-``repro.obs`` watches a pipeline run from inside the Web stack and turns
-what it sees into three artifacts:
+``repro.obs`` watches a pipeline run from inside the Web call chain
+(:mod:`repro.webstack`) — through its observe layers above the cache
+(``entry``) and below it (``transport``) — and turns what it sees into
+these artifacts:
 
 - a deterministic **trace** (:class:`~repro.obs.trace.Tracer`) — phase
   spans and per-call events timestamped from the run's simulated clock;
@@ -34,8 +36,7 @@ from repro.obs.instrument import (
     LAYER_TRANSPORT,
     Observability,
     ObsConfig,
-    ObservedDeepWebSource,
-    ObservedSearchEngine,
+    observe_layer,
 )
 from repro.obs.invariants import (
     InvariantChecker,
@@ -87,8 +88,7 @@ from repro.obs.trace import Span, TraceEvent, Tracer
 __all__ = [
     "ObsConfig",
     "Observability",
-    "ObservedSearchEngine",
-    "ObservedDeepWebSource",
+    "observe_layer",
     "LAYER_ENTRY",
     "LAYER_TRANSPORT",
     "Tracer",

@@ -1,4 +1,4 @@
-"""Observability plumbing: the per-run bundle and the observed wrappers.
+"""Observability plumbing: the per-run bundle and the observe layers.
 
 :class:`Observability` carries one run's :class:`~repro.obs.trace.Tracer`
 and :class:`~repro.obs.metrics.MetricsRegistry` plus the *component scope*
@@ -6,35 +6,34 @@ and :class:`~repro.obs.metrics.MetricsRegistry` plus the *component scope*
 in the stack can attribute what it sees without threading extra arguments
 through every call.
 
-:class:`ObservedSearchEngine` and :class:`ObservedDeepWebSource` are
-transparent pass-through layers inserted at two depths of the Web stack::
+:func:`observe_layer` builds the pass-through layers inserted at two
+depths of the Web call chain (:mod:`repro.webstack`)::
 
-    ObservedSearchEngine(layer="entry")      # what components ask for
-      CachingSearchEngine                    # may answer from memory
-        ObservedSearchEngine(layer="transport")   # what escapes the cache
-          ResilientSearchEngine -> FlakySearchEngine -> SearchEngine
+    observe(layer="entry")          # what components ask for
+      cache                         # may answer from memory
+        observe(layer="transport")  # what escapes the cache
+          retry -> fault -> SearchEngine / DeepWebSource
 
-The entry layer counts every call a component issues; the transport layer
-counts the calls that actually head for the (possibly flaky) Web and, by
-differencing the substrate's ``query_count``/``probe_count`` around each
-call, how many *real round trips* the call cost (retries included). Those
-two independent tallies are what give the
+The entry layer counts every engine call a component issues; the
+transport layer counts the calls that actually head for the (possibly
+flaky) Web and, by differencing the substrate's ``query_count`` /
+``probe_count`` around each call, how many *real round trips* the call
+cost (retries included). Those two independent tallies are what give the
 :class:`~repro.obs.invariants.InvariantChecker` its conservation laws:
 entry calls must equal cache hits + misses, transport calls must equal
 cache misses, transport round trips must equal the stopwatch's per-account
 query counts and the resilience budgets' spend.
 
-The wrappers are strictly read-only observers: they consume no randomness,
-swallow no exceptions, and forward every attribute they do not define
-(``last_degraded``, breaker handles, ...) to the wrapped layer, so cached
-and resilient behaviour is bit-identical with or without them.
+The layers are strictly read-only observers: they consume no randomness,
+swallow no exceptions and leave the call record untouched, so cached and
+resilient behaviour is bit-identical with or without them.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Iterator, List, Mapping, Optional
+from typing import Any, Iterator, List, Optional
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.provenance import (
@@ -47,16 +46,15 @@ from repro.util.counters import WorkCounters
 __all__ = [
     "ObsConfig",
     "Observability",
-    "ObservedSearchEngine",
-    "ObservedDeepWebSource",
+    "observe_layer",
     "LAYER_ENTRY",
     "LAYER_TRANSPORT",
 ]
 
-#: Layer label of the wrapper components talk to (above any cache).
+#: Label of the observe layer components talk to (above any cache).
 LAYER_ENTRY = "entry"
-#: Layer label of the wrapper directly above the resilient proxy /
-#: raw substrate (below any cache): everything here goes to the "Web".
+#: Label of the observe layer directly above the retry layer / raw
+#: substrate (below any cache): everything here goes to the "Web".
 LAYER_TRANSPORT = "transport"
 
 #: Component label outside any phase scope.
@@ -170,110 +168,19 @@ class Observability:
         return line
 
 
-class ObservedSearchEngine:
-    """Engine-shaped pass-through that reports every call to ``obs``.
+def observe_layer(obs: Observability, layer: str):
+    """An observe layer of the Web call chain, labelled ``layer``.
 
-    ``layer`` labels where in the stack this wrapper sits (see module
-    docs). Round trips are measured by differencing the underlying
-    ``query_count`` around the call, so a cache hit below reports 0 and a
-    retried call reports every attempt.
+    Round trips are measured by differencing the raw substrate's counter
+    around the call, so a cache hit below reports 0 and a retried call
+    reports every attempt. A call that raises is not recorded.
     """
-
-    def __init__(self, inner, obs: Observability, layer: str) -> None:
-        self.inner = inner
-        self.obs = obs
-        self.layer = layer
-
-    # ------------------------------------------------------- engine facade
-    @property
-    def query_count(self) -> int:
-        return self.inner.query_count
-
-    def reset_query_count(self) -> None:
-        self.inner.reset_query_count()
-
-    @property
-    def n_documents(self) -> int:
-        return self.inner.n_documents
-
-    def search(self, query: str, max_results: int = 10):
-        return self._observe(
-            "search", lambda: self.inner.search(query, max_results)
-        )
-
-    def num_hits(self, query: str) -> int:
-        return self._observe("num_hits", lambda: self.inner.num_hits(query))
-
-    def num_hits_proximity(self, phrase_a: str, phrase_b: str,
-                           window: Optional[int] = None):
-        if window is None:
-            return self._observe(
-                "num_hits_proximity",
-                lambda: self.inner.num_hits_proximity(phrase_a, phrase_b),
-            )
-        return self._observe(
-            "num_hits_proximity",
-            lambda: self.inner.num_hits_proximity(phrase_a, phrase_b, window),
-        )
-
-    def __getattr__(self, name: str):
-        # Forward everything else (``last_degraded``, ...) untouched so the
-        # wrapper is invisible to the layers above and below.
-        return getattr(self.inner, name)
-
-    # ----------------------------------------------------------- internals
-    def _observe(self, method: str, fn):
-        before = self.inner.query_count
-        result = fn()
-        self.obs.record_call(
-            layer=self.layer,
-            substrate="engine",
-            method=method,
-            round_trips=self.inner.query_count - before,
-        )
+    def observe(call, proceed):
+        before = call.round_trips
+        result = proceed(call)
+        attrs = {} if call.source_id is None else {"source": call.source_id}
+        obs.record_call(layer, call.kind, call.method,
+                        call.round_trips - before, **attrs)
         return result
 
-
-class ObservedDeepWebSource:
-    """Source-shaped pass-through reporting every probe to ``obs``."""
-
-    def __init__(self, inner, obs: Observability,
-                 layer: str = LAYER_TRANSPORT) -> None:
-        self.inner = inner
-        self.obs = obs
-        self.layer = layer
-
-    # ------------------------------------------------------- source facade
-    @property
-    def interface(self):
-        return self.inner.interface
-
-    @property
-    def interface_id(self) -> str:
-        return self.inner.interface.interface_id
-
-    @property
-    def probe_count(self) -> int:
-        return self.inner.probe_count
-
-    @probe_count.setter
-    def probe_count(self, value: int) -> None:
-        self.inner.probe_count = value
-
-    def recognizes(self, attribute_name: str, value: str) -> bool:
-        return self.inner.recognizes(attribute_name, value)
-
-    def submit(self, values: Mapping[str, str]):
-        before = self.inner.probe_count
-        result = self.inner.submit(values)
-        self.obs.record_call(
-            layer=self.layer,
-            substrate="source",
-            method="submit",
-            round_trips=self.inner.probe_count - before,
-            source=self.interface_id,
-        )
-        return result
-
-    def __getattr__(self, name: str):
-        return getattr(self.inner, name)
+    return observe

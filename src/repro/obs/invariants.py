@@ -13,7 +13,7 @@ underlying traffic from different layers:
 
 None of them is derived from another: the stopwatch differences substrate
 counters per phase, the degradation report counts retry-loop decisions,
-the cache counts lookups, and the observed wrappers count individual
+the cache counts lookups, and the observe layers count individual
 calls. When the stack is wired correctly they must agree exactly — every
 call entering the cache is a hit or a miss, every miss reaches the
 transport, every transport round trip is charged to the stopwatch and to

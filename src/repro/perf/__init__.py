@@ -1,8 +1,9 @@
 """repro.perf — hot-path performance layers for the Web substrates.
 
-Currently: transparent query-result caching (:mod:`repro.perf.cache`).
-The layering contract is documented there; the short version is that the
-cache composes *above* the resilience layer, caches only successful
+Currently: transparent query-result caching (:mod:`repro.perf.cache`),
+the cache layer of the Web call chain (:mod:`repro.webstack`). The
+layering contract is documented there; the short version is that the
+cache sits *above* the retry and fault layers, caches only successful
 answers, and keeps ``query_count``/budget/latency accounting charging
 real round trips only.
 """
@@ -12,8 +13,8 @@ from repro.perf.cache import (
     CacheConfig,
     CachePreload,
     CacheStats,
-    CachingSearchEngine,
     LRUCache,
+    QueryCache,
     ValidationCache,
     normalize_query,
 )
@@ -23,8 +24,8 @@ __all__ = [
     "CacheConfig",
     "CachePreload",
     "CacheStats",
-    "CachingSearchEngine",
     "LRUCache",
+    "QueryCache",
     "ValidationCache",
     "normalize_query",
 ]

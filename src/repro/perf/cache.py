@@ -7,19 +7,19 @@ trained for a concept re-scores the same popular instances, and the
 Attr-Surface train/predict passes re-ask the marginals the Surface phase
 already asked. This module makes that redundancy free:
 
-- :class:`CachingSearchEngine` — a transparent wrapper memoising
-  ``search`` / ``num_hits`` / ``num_hits_proximity`` by normalised query
-  key in a bounded LRU, with hit/miss/eviction accounting
-  (:class:`CacheStats`);
+- :class:`QueryCache` — the cache layer of the Web call chain
+  (:mod:`repro.webstack`), memoising ``search`` / ``num_hits`` /
+  ``num_hits_proximity`` by normalised query key in a bounded LRU, with
+  hit/miss/eviction accounting (:class:`CacheStats`);
 - :class:`ValidationCache` — the run-wide memo of marginal and joint hit
   counts that every :class:`~repro.core.surface.WebValidator` of one
   pipeline run shares, so phrase/candidate/joint counts are reused across
   attributes, interfaces, and classifier training vs. prediction;
 - :class:`CacheConfig` — the pipeline-facing knobs.
 
-**Layering.** The cache sits *above* the resilience layer::
+**Layering.** The cache sits *above* the resilience layers::
 
-    CachingSearchEngine -> ResilientSearchEngine -> FlakySearchEngine -> engine
+    entry observe -> cache -> transport observe -> retry -> fault -> engine
 
 A cache hit therefore never reaches :class:`~repro.resilience.ResilientClient`:
 it consumes no query budget, charges no retry or backoff accounting, and
@@ -27,12 +27,12 @@ adds nothing to Figure 8's overhead — exactly the behaviour of a real
 system answering from its own cache instead of the network.
 
 **Only successful answers are cached.** A degraded answer (retries
-exhausted, breaker open, budget spent — the resilient proxy's neutral
+exhausted, breaker open, budget spent — the retry layer's neutral
 ``[]``/``0``) and a garbled answer (truncated payload that slipped through
 as a "success") describe the Web's mood, not the query's answer; caching
-one would pin a transient failure for the rest of the run. The wrapper
-detects both through the resilient proxy's ``last_degraded`` flag and the
-flaky wrapper's ``garbled_count``, and simply declines to store.
+one would pin a transient failure for the rest of the run. The layers
+below mark both on the call record (``call.degraded``, ``call.garbled``),
+and the cache simply declines to store.
 """
 
 from __future__ import annotations
@@ -42,15 +42,13 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
-from repro.surfaceweb.engine import DEFAULT_PROXIMITY_WINDOW, SearchResult
-
 __all__ = [
     "DEFAULT_CACHE_ENTRIES",
     "CacheConfig",
     "CachePreload",
     "CacheStats",
     "LRUCache",
-    "CachingSearchEngine",
+    "QueryCache",
     "ValidationCache",
     "normalize_query",
 ]
@@ -210,31 +208,26 @@ class CacheConfig:
             raise ValueError("max_entries must be at least 1")
 
 
-class CachingSearchEngine:
-    """Memoising drop-in wrapper for anything engine-shaped.
+class QueryCache:
+    """The cache layer of the Web call chain: a bounded LRU of answers.
 
-    Wraps the raw :class:`~repro.surfaceweb.engine.SearchEngine` or the
-    resilient proxy; components keep calling ``search`` / ``num_hits`` /
-    ``num_hits_proximity`` exactly as before. ``query_count`` delegates to
-    the wrapped engine, so it keeps counting *real* round trips only —
-    cache hits are free by construction, which is what keeps Figure 8's
-    overhead model honest.
+    Its :meth:`layer` memoises engine calls by normalised query key;
+    components keep calling ``search`` / ``num_hits`` /
+    ``num_hits_proximity`` on the engine facade exactly as before. A hit
+    never reaches the layers below, so the engine's ``query_count`` keeps
+    counting *real* round trips only — cache hits are free by
+    construction, which is what keeps Figure 8's overhead model honest.
+
+    ``obs``, when given, is a :class:`~repro.obs.Observability` bundle;
+    every lookup outcome then also bumps its ``cache.lookups`` /
+    ``cache.stores`` counters so the invariant checker can reconcile them
+    against :class:`CacheStats`. Purely observational — the cache behaves
+    identically without it.
     """
 
-    def __init__(
-        self,
-        inner,
-        max_entries: int = DEFAULT_CACHE_ENTRIES,
-        stats: Optional[CacheStats] = None,
-        obs=None,
-    ) -> None:
-        """``obs``, when given, is a :class:`~repro.obs.Observability`
-        bundle; every lookup outcome then also bumps its
-        ``cache.lookups``/``cache.stores`` counters so the invariant
-        checker can reconcile them against :class:`CacheStats`. Purely
-        observational — the cache behaves identically without it."""
-        self.inner = inner
-        self.stats = stats if stats is not None else CacheStats(max_entries)
+    def __init__(self, max_entries: int = DEFAULT_CACHE_ENTRIES,
+                 obs=None) -> None:
+        self.stats = CacheStats(max_entries)
         self._cache = LRUCache(max_entries, self.stats)
         self.obs = obs
         #: optional callable receiving one op per cache mutation or
@@ -244,46 +237,8 @@ class CachingSearchEngine:
         #: without re-fetching. Purely observational.
         self.oplog: Optional[Any] = None
 
-    # ------------------------------------------------------- engine facade
-    @property
-    def query_count(self) -> int:
-        return self.inner.query_count
-
-    def reset_query_count(self) -> None:
-        self.inner.reset_query_count()
-
-    @property
-    def n_documents(self) -> int:
-        return self.inner.n_documents
-
-    def search(self, query: str, max_results: int = 10) -> List[SearchResult]:
-        key = ("search", normalize_query(query), max_results)
-        return self._lookup("search", key, lambda: self.inner.search(query, max_results))
-
-    def num_hits(self, query: str) -> int:
-        key = ("num_hits", normalize_query(query))
-        return self._lookup("num_hits", key, lambda: self.inner.num_hits(query))
-
-    def num_hits_proximity(
-        self,
-        phrase_a: str,
-        phrase_b: str,
-        window: int = DEFAULT_PROXIMITY_WINDOW,
-    ) -> int:
-        key = (
-            "proximity",
-            normalize_query(phrase_a),
-            normalize_query(phrase_b),
-            window,
-        )
-        return self._lookup(
-            "proximity",
-            key,
-            lambda: self.inner.num_hits_proximity(phrase_a, phrase_b, window),
-        )
-
-    # ---------------------------------------------------------- internals
-    def _lookup(self, kind: str, key: Tuple, fetch) -> Any:
+    def layer(self, call, proceed):
+        kind, key = _cache_key(call.method, call.args)
         sentinel = object()
         value = self._cache.get(key, sentinel)
         if value is not sentinel:
@@ -294,16 +249,15 @@ class CachingSearchEngine:
             return value
         self.stats.note_miss(kind)
         self._note_obs("lookups", kind, "miss")
-        garbled_before = self._garbled_count()
-        value = fetch()
-        if self._answer_is_clean(garbled_before):
+        value = proceed(call)
+        if call.degraded or call.garbled:
+            self.stats.uncacheable += 1
+            self._note_obs("stores", kind, "refused")
+        else:
             self._cache.put(key, value)
             self._note_obs("stores", kind, "stored")
             if self.oplog is not None:
                 self.oplog(("s", key, value))
-        else:
-            self.stats.uncacheable += 1
-            self._note_obs("stores", kind, "refused")
         return value
 
     # ----------------------------------------- checkpoint/snapshot support
@@ -329,21 +283,22 @@ class CachingSearchEngine:
                 f"cache.{counter}", kind=kind, outcome=outcome
             ).inc()
 
-    def _answer_is_clean(self, garbled_before: int) -> bool:
-        """Was the answer a real one (not degraded, not garbled)?"""
-        if getattr(self.inner, "last_degraded", False):
-            return False
-        return self._garbled_count() == garbled_before
 
-    def _garbled_count(self) -> int:
-        """Total garbled faults injected below us (0 on pristine stacks)."""
-        layer = self.inner
-        while layer is not None:
-            count = getattr(layer, "garbled_count", None)
-            if count is not None:
-                return count
-            layer = getattr(layer, "inner", None)
-        return 0
+def _cache_key(method: str, args: Tuple) -> Tuple[str, Tuple]:
+    """The query kind and LRU key of one engine call."""
+    if method == "search":
+        query, max_results = args
+        return "search", ("search", normalize_query(query), max_results)
+    if method == "num_hits":
+        (query,) = args
+        return "num_hits", ("num_hits", normalize_query(query))
+    phrase_a, phrase_b, window = args
+    return "proximity", (
+        "proximity",
+        normalize_query(phrase_a),
+        normalize_query(phrase_b),
+        window,
+    )
 
 
 class ValidationCache:
@@ -421,7 +376,7 @@ class ValidationCache:
 class CachePreload:
     """A first-class warm-start input: one run's cache content, portable.
 
-    Captured from a finished run's :class:`CachingSearchEngine` and
+    Captured from a finished run's :class:`QueryCache` and
     :class:`ValidationCache`, and applied to a fresh run *before* any unit
     executes — the warm run then sees cache hits exactly where the donor
     run would have, spending no round trips on answers already paid for.
@@ -453,18 +408,18 @@ class CachePreload:
     @classmethod
     def capture(
         cls,
-        cache_engine: "CachingSearchEngine",
+        cache: QueryCache,
         validation_cache: Optional[ValidationCache] = None,
     ) -> "CachePreload":
         """Snapshot a run's cache content (recency order preserved)."""
         return cls(
-            engine_entries=cache_engine.snapshot_entries(),
+            engine_entries=cache.snapshot_entries(),
             validation=validation_cache,
         )
 
     def apply(
         self,
-        cache_engine: "CachingSearchEngine",
+        cache: QueryCache,
         validation_cache: Optional[ValidationCache] = None,
     ) -> None:
         """Seed a fresh run's caches with this snapshot.
@@ -475,7 +430,7 @@ class CachePreload:
         long-lived cache would.
         """
         for key, value in self.engine_entries:
-            cache_engine.replay_store(
+            cache.replay_store(
                 key, list(value) if isinstance(value, list) else value
             )
         if validation_cache is not None:

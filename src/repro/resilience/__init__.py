@@ -4,18 +4,19 @@ The original WebIQ system faced the real 2006 Web; this package restores
 that unreliability to the offline reproduction — deterministically — and
 provides the machinery to survive it:
 
-- :mod:`repro.resilience.faults` — :class:`FaultProfile` plus the
-  :class:`FlakySearchEngine` / :class:`FlakyDeepWebSource` wrappers that
-  inject timeouts, 5xx transients, rate limits and truncated pages;
+- :mod:`repro.resilience.faults` — :class:`FaultProfile` plus the fault
+  layer (:class:`FaultInjector`) that injects timeouts, 5xx transients,
+  rate limits and truncated pages;
 - :mod:`repro.resilience.client` — :class:`ResilientClient` (retry with
   exponential backoff + jitter, per-component budgets, per-source circuit
-  breakers), the drop-in :class:`ResilientSearchEngine` /
-  :class:`ResilientDeepWebSource` proxies, and the
+  breakers), whose :meth:`~ResilientClient.layer` is the retry layer that
+  degrades abandoned calls to neutral answers, and the
   :class:`DegradationReport` a run attaches to its result.
 
-Enable it per run via ``WebIQConfig(resilience=ResilienceConfig(...))``;
-with the default ``FaultProfile()`` (rate 0) the whole layer is an exact
-pass-through.
+Both are layers of the one Web call chain built by
+:func:`repro.webstack.build_web_stack`. Enable them per run via
+``WebIQConfig(resilience=ResilienceConfig(...))``; with the default
+``FaultProfile()`` (rate 0) the fault layer is an exact pass-through.
 """
 
 from repro.resilience.client import (
@@ -25,15 +26,12 @@ from repro.resilience.client import (
     DegradationReport,
     ResilienceConfig,
     ResilientClient,
-    ResilientDeepWebSource,
-    ResilientSearchEngine,
     RetryPolicy,
 )
 from repro.resilience.faults import (
+    FaultInjector,
     FaultKind,
     FaultProfile,
-    FlakyDeepWebSource,
-    FlakySearchEngine,
     KillSwitch,
     PreemptionPoint,
 )
@@ -41,8 +39,7 @@ from repro.resilience.faults import (
 __all__ = [
     "FaultKind",
     "FaultProfile",
-    "FlakySearchEngine",
-    "FlakyDeepWebSource",
+    "FaultInjector",
     "KillSwitch",
     "PreemptionPoint",
     "RetryPolicy",
@@ -52,6 +49,4 @@ __all__ = [
     "DegradationReport",
     "ResilienceConfig",
     "ResilientClient",
-    "ResilientSearchEngine",
-    "ResilientDeepWebSource",
 ]

@@ -21,16 +21,17 @@ pipeline charges them to the :class:`~repro.util.clock.SimulatedClock`
 under ``<component>_retry`` accounts, keeping Figure 8's overhead model
 honest about what resilience costs.
 
-:class:`ResilientSearchEngine` and :class:`ResilientDeepWebSource` are the
-drop-in proxies components talk to. When a call is abandoned — retries
-exhausted, breaker open, or budget spent — they degrade instead of raising:
-empty search results, zero hit counts, or an "unavailable" error page that
-the §4 response heuristics classify as a failed probe. The pipeline
-therefore never crashes; it yields partial results and reports the damage.
+:meth:`ResilientClient.layer` is the retry layer of the Web call chain
+(:mod:`repro.webstack`). When a call is abandoned — retries exhausted,
+breaker open, or budget spent — it degrades instead of raising: empty
+search results, zero hit counts, or an "unavailable" error page that the
+§4 response heuristics classify as a failed probe. The pipeline therefore
+never crashes; it yields partial results and reports the damage.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -47,7 +48,6 @@ from typing import (
 )
 
 from repro.deepweb.source import ResponsePage
-from repro.surfaceweb.engine import DEFAULT_PROXIMITY_WINDOW, SearchResult
 from repro.util.errors import (
     BudgetExhaustedError,
     CircuitOpenError,
@@ -67,8 +67,6 @@ __all__ = [
     "DegradationReport",
     "ResilienceConfig",
     "ResilientClient",
-    "ResilientSearchEngine",
-    "ResilientDeepWebSource",
 ]
 
 T = TypeVar("T")
@@ -234,7 +232,7 @@ class DegradationReport:
     """
 
     #: fault kind value -> injections (e.g. ``{"timeout": 12}``); fed by the
-    #: flaky wrappers' ``on_fault`` hook, so silent ``garbled`` faults count
+    #: fault layer's ``on_fault`` hook, so silent ``garbled`` faults count
     faults_by_kind: Dict[str, int] = field(default_factory=dict)
     #: component -> raised faults observed while it was active
     faults_by_component: Dict[str, int] = field(default_factory=dict)
@@ -373,19 +371,14 @@ class ResilientClient:
         self.report = DegradationReport()
         self._budgets = config.budgets()
         self._breakers: Dict[str, CircuitBreaker] = {}
-        #: legacy shared jitter stream, used only for calls made outside
-        #: any unit scope (direct client use); pipeline draws come from
-        #: per-unit streams (see :meth:`_backoff_rng`).
-        self._rng = derive_rng(config.profile.seed, "resilience", "backoff")
         #: per-unit jitter streams, derived lazily from the unit key so a
         #: unit's draws are identical however the run is scheduled/resumed
         self._unit_rngs: Dict[UnitKey, Any] = {}
         #: backoff delays computed so far (an accounting counter; per-unit
         #: streams need no fast-forward on resume)
         self.backoff_draws = 0
-        #: per-thread mutable call state (active component, in-flight
-        #: attempt index). Thread-local so threads sharing one client
-        #: cannot race each other's ambient state.
+        #: per-thread active component. Thread-local so threads sharing
+        #: one client cannot race each other's budget attribution.
         self._local = threading.local()
         #: optional :class:`~repro.obs.Observability` bundle; when attached,
         #: every retry-loop decision is traced and counted. Strictly
@@ -407,22 +400,6 @@ class ResilientClient:
     def active_component(self) -> str:
         return getattr(self._local, "component", None) or DEFAULT_COMPONENT
 
-    @property
-    def current_attempt(self) -> int:
-        """0-based attempt index of this *thread's* in-flight :meth:`call`.
-
-        Flaky wrappers read it (via ``attempt_provider``) to key
-        per-attempt fault fates, so a retry re-rolls where a re-issue
-        replays. Thread-local: when threads share one client, one thread's
-        retry loop must never leak its attempt index into the fault fates
-        another thread is rolling.
-        """
-        return getattr(self._local, "attempt", 0)
-
-    @current_attempt.setter
-    def current_attempt(self, value: int) -> None:
-        self._local.attempt = value
-
     def budget_exhausted(self, component: str) -> bool:
         budget = self._budgets.get(component)
         return budget is not None and budget.exhausted
@@ -439,7 +416,7 @@ class ResilientClient:
         self.report.attributes_skipped.append((interface_id, attribute))
 
     def note_injected_fault(self, kind: FaultKind) -> None:
-        """Hook for the flaky wrappers' ``on_fault`` callback."""
+        """Hook for the fault layer's ``on_fault`` callback."""
         self._bump(self.report.faults_by_kind, kind.value)
 
     # --------------------------------------------------- checkpoint support
@@ -556,7 +533,6 @@ class ResilientClient:
             if budget is not None:
                 budget.charge()
                 self._bump(self.report.budget_spent_by_component, component)
-            self.current_attempt = attempt
             try:
                 result = fn()
             except WebAccessError as exc:
@@ -591,22 +567,47 @@ class ResilientClient:
             return result
         raise AssertionError("unreachable")  # pragma: no cover
 
+    # ------------------------------------------------------ the call layer
+    def layer(self, call, proceed):
+        """The retry layer of the Web call chain (:mod:`repro.webstack`).
+
+        Runs ``proceed(call)`` under :meth:`call`, numbering each attempt
+        in ``call.attempt`` so the fault layer below re-rolls a retried
+        fate. A call the policy abandons — retries exhausted, breaker
+        open, budget spent — is marked ``degraded`` and answered with the
+        neutral element of its kind: no results, zero hits, or an
+        "unavailable" page the §4 heuristics classify as a failed probe.
+        """
+        attempts = itertools.count()
+
+        def attempt():
+            call.attempt = next(attempts)
+            return proceed(call)
+
+        try:
+            return self.call(attempt, source_id=call.source_id)
+        except (WebAccessError, CircuitOpenError, BudgetExhaustedError):
+            call.degraded = True
+            if call.method == "search":
+                return []
+            if call.method == "submit":
+                return ResponsePage(
+                    f"deep://{call.source_id}/unavailable", _UNAVAILABLE_TEXT
+                )
+            return 0
+
     # ---------------------------------------------------------- internals
     def _backoff_rng(self):
-        """The jitter stream for this thread's unit (legacy shared stream
-        outside any unit scope). A per-unit stream starts at position 0
-        whenever its unit runs, so backoff jitter is a pure function of
-        ``(seed, unit, draw index within the unit)`` — independent of
-        execution order, worker interleaving and resume point."""
-        unit = current_unit()
-        if unit is None:
-            return self._rng
+        """The jitter stream for this thread's unit (``()`` outside any
+        unit). A per-unit stream starts at position 0 whenever its unit
+        runs, so backoff jitter is a pure function of ``(seed, unit, draw
+        index within the unit)`` — independent of execution order and
+        resume point."""
+        unit = current_unit() or ()
         rng = self._unit_rngs.get(unit)
         if rng is None:
-            rng = derive_rng(
-                self.config.profile.seed, "resilience", "backoff", *unit
-            )
-            self._unit_rngs[unit] = rng
+            rng = self._unit_rngs[unit] = derive_rng(
+                self.config.profile.seed, "resilience", "backoff", *unit)
         return rng
 
     def _observe(self, event: str, **attrs) -> None:
@@ -630,86 +631,7 @@ class ResilientClient:
         counter[key] = counter.get(key, 0) + 1
 
 
-class ResilientSearchEngine:
-    """Search-engine proxy that retries faults and degrades to emptiness.
-
-    Wraps any engine-shaped object (typically a
-    :class:`~repro.resilience.faults.FlakySearchEngine`). Calls the client
-    cannot complete come back as the harmless neutral element of each
-    query type — no results, zero hits — so Surface and Attr-Surface
-    simply see an unhelpful Web rather than an exception.
-    ``last_degraded`` records, per call, whether that neutral substitution
-    happened; cache layers above read it to avoid memoising a degraded
-    answer as if it were the query's real one.
-
-    ``last_degraded`` is **thread-local** (like
-    ``ResilientClient.current_attempt``): one proxy may be shared by
-    concurrent callers with different budgets, and a plain
-    instance attribute would let tenant B's budget-exhausted degradation
-    flip the flag between tenant A's fetch and A's cleanliness check —
-    the cache above then refuses to memoise A's perfectly clean answer
-    and A pays for the same query twice. Each thread sees only its own
-    calls' flag.
-    """
-
-    def __init__(self, inner, client: ResilientClient) -> None:
-        self.inner = inner
-        self.client = client
-        self._local = threading.local()
-
-    @property
-    def last_degraded(self) -> bool:
-        """Did *this thread's* most recent query degrade to neutral?"""
-        return getattr(self._local, "last_degraded", False)
-
-    @last_degraded.setter
-    def last_degraded(self, value: bool) -> None:
-        self._local.last_degraded = value
-
-    @property
-    def query_count(self) -> int:
-        return self.inner.query_count
-
-    def reset_query_count(self) -> None:
-        self.inner.reset_query_count()
-
-    @property
-    def n_documents(self) -> int:
-        return self.inner.n_documents
-
-    def search(self, query: str, max_results: int = 10) -> List[SearchResult]:
-        self.last_degraded = False
-        try:
-            return self.client.call(lambda: self.inner.search(query, max_results))
-        except (WebAccessError, CircuitOpenError, BudgetExhaustedError):
-            self.last_degraded = True
-            return []
-
-    def num_hits(self, query: str) -> int:
-        self.last_degraded = False
-        try:
-            return self.client.call(lambda: self.inner.num_hits(query))
-        except (WebAccessError, CircuitOpenError, BudgetExhaustedError):
-            self.last_degraded = True
-            return 0
-
-    def num_hits_proximity(
-        self,
-        phrase_a: str,
-        phrase_b: str,
-        window: int = DEFAULT_PROXIMITY_WINDOW,
-    ) -> int:
-        self.last_degraded = False
-        try:
-            return self.client.call(
-                lambda: self.inner.num_hits_proximity(phrase_a, phrase_b, window)
-            )
-        except (WebAccessError, CircuitOpenError, BudgetExhaustedError):
-            self.last_degraded = True
-            return 0
-
-
-#: The page a resilient source serves when a probe is abandoned. Contains
+#: The page the retry layer serves when a probe is abandoned. Contains
 #: explicit failure markers so the §4 heuristics classify it as a failed
 #: submission — an unreachable source must never validate a value.
 _UNAVAILABLE_TEXT = (
@@ -717,49 +639,3 @@ _UNAVAILABLE_TEXT = (
     "Service temporarily unavailable. No results could be retrieved.\n"
     "Please try again later."
 )
-
-
-class ResilientDeepWebSource:
-    """Deep-Web source proxy: retries, per-source breaker, degrade-to-page.
-
-    Abandoned probes return a synthetic "service unavailable" page instead
-    of raising, mirroring how a browser user experiences a dead source —
-    they still get *a* page, just not a useful one.
-    """
-
-    def __init__(self, inner, client: ResilientClient) -> None:
-        self.inner = inner
-        self.client = client
-
-    @property
-    def interface(self):
-        return self.inner.interface
-
-    @property
-    def interface_id(self) -> str:
-        return self.inner.interface.interface_id
-
-    @property
-    def probe_count(self) -> int:
-        return self.inner.probe_count
-
-    @probe_count.setter
-    def probe_count(self, value: int) -> None:
-        self.inner.probe_count = value
-
-    @property
-    def breaker(self) -> CircuitBreaker:
-        return self.client.breaker_for(self.interface_id)
-
-    def recognizes(self, attribute_name: str, value: str) -> bool:
-        return self.inner.recognizes(attribute_name, value)
-
-    def submit(self, values: Mapping[str, str]) -> ResponsePage:
-        try:
-            return self.client.call(
-                lambda: self.inner.submit(values), source_id=self.interface_id
-            )
-        except (WebAccessError, CircuitOpenError, BudgetExhaustedError):
-            return ResponsePage(
-                f"deep://{self.interface_id}/unavailable", _UNAVAILABLE_TEXT
-            )

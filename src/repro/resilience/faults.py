@@ -6,10 +6,10 @@ The offline reproduction's substrates answer every call instantly and
 perfectly, so none of the resilience the original system implicitly needed
 is exercised. This module restores that hostility — deterministically.
 
-:class:`FlakySearchEngine` and :class:`FlakyDeepWebSource` wrap the real
-substrates and, driven by a :class:`FaultProfile` and
-:func:`repro.util.rng.derive_rng`, convert a configurable fraction of calls
-into failures:
+:class:`FaultInjector` is the fault layer of the Web call chain
+(:mod:`repro.webstack`), just above the raw substrates. Driven by a
+:class:`FaultProfile` and :func:`repro.util.rng.derive_rng`, it converts a
+configurable fraction of calls into failures:
 
 - ``timeout``   — the call raises :class:`~repro.util.errors.WebTimeoutError`;
 - ``transient`` — a 5xx-style :class:`~repro.util.errors.TransientWebError`;
@@ -18,7 +18,7 @@ into failures:
   mid-transfer, exercising the downstream parsing heuristics instead of the
   retry loop.
 
-Every faulted call still increments the wrapped substrate's query/probe
+Every faulted call still increments the substrate's query/probe
 counter: the round trip happened and must be charged to Figure 8's overhead
 accounts, exactly as a failed Google query still cost the paper 0.1-0.5 s.
 
@@ -36,24 +36,20 @@ per ``(source, checkpoint unit)``: inside a unit scope (see
 :mod:`repro.exec.context`) the stream is derived from the unit key and
 starts at position 0, so a unit's fates are independent of which units
 ran before it and of where a resumed run picks up — no fast-forwarding
-needed. Outside any unit (direct use in tests) the legacy per-source
-sequential stream applies unchanged. With ``fault_rate=0.0`` the wrappers
-are exact pass-throughs: results, counters and downstream RNG streams are
-bit-identical to the unwrapped substrates.
+needed. Outside any unit (direct use in tests) the unit key is ``()``,
+which derives the plain per-source stream. With ``fault_rate=0.0`` the
+layer is an exact pass-through: results, counters and downstream RNG
+streams are bit-identical to the bare substrates.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
-from repro.deepweb.source import DeepWebSource, ResponsePage
-from repro.surfaceweb.engine import (
-    DEFAULT_PROXIMITY_WINDOW,
-    SearchEngine,
-    SearchResult,
-)
+from repro.deepweb.source import ResponsePage
+from repro.surfaceweb.engine import SearchResult
 from repro.util.errors import (
     PreemptionError,
     RateLimitError,
@@ -63,13 +59,12 @@ from repro.util.errors import (
 )
 from repro.util.rng import derive_rng
 
-from repro.exec.context import UnitKey, current_unit
+from repro.exec.context import current_unit
 
 __all__ = [
     "FaultKind",
     "FaultProfile",
-    "FlakySearchEngine",
-    "FlakyDeepWebSource",
+    "FaultInjector",
     "KillSwitch",
     "PreemptionPoint",
     "error_for_fault",
@@ -102,8 +97,8 @@ class FaultProfile:
 
     ``fault_rate`` is the probability that any single call faults; the
     ``*_weight`` fields set the relative likelihood of each
-    :class:`FaultKind` among faulted calls. ``seed`` roots the per-wrapper
-    fault streams (independent of the dataset seed, so enabling faults
+    :class:`FaultKind` among faulted calls. ``seed`` roots the fault
+    streams (independent of the dataset seed, so enabling faults
     never perturbs corpus or interface generation).
     """
 
@@ -221,211 +216,72 @@ def garble_text(text: str) -> str:
     return text[: len(text) // 2]
 
 
-class FlakySearchEngine:
-    """A :class:`SearchEngine` whose round trips fail per a fault profile.
+class FaultInjector:
+    """The fault layer: draws each call's fate from a :class:`FaultProfile`.
 
-    Drop-in replacement: exposes the engine's full query API plus the
-    ``query_count`` bookkeeping the pipeline reads. Faulted calls raise a
-    :class:`~repro.util.errors.WebAccessError` subclass (or, for
-    ``garbled``, succeed with truncated snippets / a zero hit count).
+    Raising fates charge the round trip to the substrate's counter (the
+    trip happened) and raise a :class:`~repro.util.errors.WebAccessError`
+    subclass; ``garbled`` lets the call through, truncates the payload and
+    marks the call ``garbled`` so the cache above refuses to keep it.
 
-    Fates are keyed by call content and retry attempt (see module docs):
-    ``attempt_provider``, when given, supplies the 0-based attempt index of
-    the current resilient call (wire it to
-    :attr:`~repro.resilience.client.ResilientClient.current_attempt`) so
-    that retrying a faulted query re-rolls its fate while re-*issuing* the
-    query later replays it. ``garbled_count`` counts silently-corrupted
-    answers; cache layers read it to refuse to memoise them.
+    Engine fates are derived fresh per call from the call's content and
+    its retry attempt (see module docs). Source fates come from one
+    sequential stream per ``(source, unit)``, where the unit is
+    :func:`~repro.exec.context.current_unit` or ``()`` outside any unit.
+    ``draws`` counts the fates drawn per source — not the same as
+    ``probe_count``: a submission rejected for an unknown attribute name
+    draws a fate but counts no probe. It is journaled for accounting;
+    per-unit streams need no fast-forward.
     """
 
     def __init__(
         self,
-        inner: SearchEngine,
         profile: FaultProfile,
-        scope: str = "engine",
         on_fault: Optional[Callable[[FaultKind], None]] = None,
-        attempt_provider: Optional[Callable[[], int]] = None,
     ) -> None:
-        self.inner = inner
         self.profile = profile
         self.on_fault = on_fault
-        self.garbled_count = 0
-        self._scope = scope
-        self._attempt_provider = attempt_provider
+        self.draws: Dict[str, int] = {}
+        #: ``(source_id, *unit)`` -> that stream
+        self._source_rngs: Dict[tuple, object] = {}
 
-    # ------------------------------------------------------- engine facade
-    @property
-    def query_count(self) -> int:
-        return self.inner.query_count
-
-    def reset_query_count(self) -> None:
-        self.inner.reset_query_count()
-
-    @property
-    def n_documents(self) -> int:
-        return self.inner.n_documents
-
-    def search(self, query: str, max_results: int = 10) -> List[SearchResult]:
-        kind = self._charge_fault("search", query, max_results)
-        results = self.inner.search(query, max_results)
-        if kind is FaultKind.GARBLED:
-            return [
-                SearchResult(r.doc_id, r.url, r.title, garble_text(r.snippet))
-                for r in results
-            ]
-        return results
-
-    def num_hits(self, query: str) -> int:
-        kind = self._charge_fault("num_hits", query)
-        hits = self.inner.num_hits(query)
-        # A truncated hit-count page reads as "no evidence", not garbage.
-        return 0 if kind is FaultKind.GARBLED else hits
-
-    def num_hits_proximity(
-        self,
-        phrase_a: str,
-        phrase_b: str,
-        window: int = DEFAULT_PROXIMITY_WINDOW,
-    ) -> int:
-        kind = self._charge_fault("num_hits_proximity", phrase_a, phrase_b,
-                                  window)
-        hits = self.inner.num_hits_proximity(phrase_a, phrase_b, window)
-        return 0 if kind is FaultKind.GARBLED else hits
-
-    # ---------------------------------------------------------- internals
-    def _attempt(self) -> int:
-        return self._attempt_provider() if self._attempt_provider else 0
-
-    def _charge_fault(self, where: str, *call_key: object) -> Optional[FaultKind]:
-        """Draw this call's fate; raising kinds charge the trip, then raise.
-
-        The fate RNG is derived fresh per call from the full call identity
-        plus the retry attempt, making it independent of call history.
-        """
-        rng = derive_rng(
-            self.profile.seed, "faults", self._scope, where,
-            self._attempt(), *call_key,
-        )
+    def layer(self, call, proceed):
+        if call.source_id is None:
+            rng = derive_rng(self.profile.seed, "faults", "engine",
+                             call.method, call.attempt, *call.args)
+            where = f"search engine {call.method}"
+        else:
+            rng = self._source_rng(call.source_id)
+            self.draws[call.source_id] = self.draws.get(call.source_id, 0) + 1
+            where = f"source {call.source_id} {call.method}"
         kind = self.profile.draw(rng)
-        if kind is not None and self.on_fault is not None:
-            self.on_fault(kind)
         if kind is None:
-            return kind
-        if kind is FaultKind.GARBLED:
-            self.garbled_count += 1
-            return kind
-        self.inner.query_count += 1  # the failed round trip still happened
-        raise error_for_fault(kind, f"search engine {where}")
+            return proceed(call)
+        if self.on_fault is not None:
+            self.on_fault(kind)
+        if kind is not FaultKind.GARBLED:
+            call.charge_round_trip()  # the failed round trip still happened
+            raise error_for_fault(kind, where)
+        call.garbled = True
+        return _garble(call.method, proceed(call))
 
-
-class FlakyDeepWebSource:
-    """A :class:`DeepWebSource` whose form submissions fail per a profile.
-
-    Each source gets an independent fault stream derived from its
-    interface id, so probing order across sources does not couple their
-    failures. Garbled responses return a truncated page — the §4 response
-    heuristics must then make sense of half a results page, exactly the
-    "analyse what came back" burden real crawlers carry.
-    """
-
-    def __init__(
-        self,
-        inner: DeepWebSource,
-        profile: FaultProfile,
-        on_fault: Optional[Callable[[FaultKind], None]] = None,
-    ) -> None:
-        self.inner = inner
-        self.profile = profile
-        self.on_fault = on_fault
-        self.garbled_count = 0
-        #: legacy sequential stream, used only outside any unit scope
-        self._rng = derive_rng(
-            profile.seed, "faults", "source", inner.interface.interface_id
-        )
-        #: per-unit sequential streams (see module docs): each starts at
-        #: position 0 when its unit first probes this source, making fates
-        #: a pure function of ``(seed, source, unit, draw index)``.
-        self._unit_rngs: Dict[UnitKey, object] = {}
-        #: total fate draws consumed, across all streams. Not the same as
-        #: ``probe_count`` (a submission rejected for an unknown attribute
-        #: name draws a fate but counts no probe); journaled as a counter
-        #: for accounting — per-unit streams need no fast-forward.
-        self.draws = 0
-
-    # ------------------------------------------------------- source facade
-    @property
-    def interface(self):
-        return self.inner.interface
-
-    @property
-    def interface_id(self) -> str:
-        return self.inner.interface.interface_id
-
-    @property
-    def records(self) -> Sequence[Mapping[str, str]]:
-        return self.inner.records
-
-    @property
-    def required_attributes(self):
-        return self.inner.required_attributes
-
-    @property
-    def probe_count(self) -> int:
-        return self.inner.probe_count
-
-    @probe_count.setter
-    def probe_count(self, value: int) -> None:
-        self.inner.probe_count = value
-
-    def recognizes(self, attribute_name: str, value: str) -> bool:
-        return self.inner.recognizes(attribute_name, value)
-
-    def fast_forward(self, draws: int) -> None:
-        """Advance a fresh *legacy* stream past ``draws`` historical fates.
-
-        Only meaningful for standalone (outside-unit-scope) use, where the
-        sequential per-source stream still applies: each historical fate
-        is re-drawn and discarded. Pipeline runs draw from per-unit
-        streams that need no re-positioning, so resume no longer calls
-        this.
-        """
-        if self.draws:
-            raise ValueError(
-                "fast_forward needs a fresh fault stream "
-                f"(already drew {self.draws})"
-            )
-        for _ in range(draws):
-            self.profile.draw(self._rng)
-        self.draws = draws
-
-    def _fate_rng(self):
-        """This thread's fate stream: per-unit inside a unit scope (derived
-        fresh from the unit key on first use), the legacy sequential
-        per-source stream otherwise."""
-        unit = current_unit()
-        if unit is None:
-            return self._rng
-        rng = self._unit_rngs.get(unit)
+    def _source_rng(self, source_id: str):
+        key = (source_id, *(current_unit() or ()))
+        rng = self._source_rngs.get(key)
         if rng is None:
-            rng = derive_rng(
-                self.profile.seed, "faults", "source",
-                self.inner.interface.interface_id, *unit,
-            )
-            self._unit_rngs[unit] = rng
+            rng = self._source_rngs[key] = derive_rng(
+                self.profile.seed, "faults", "source", *key)
         return rng
 
-    def submit(self, values: Mapping[str, str]) -> ResponsePage:
-        self.draws += 1
-        kind = self.profile.draw(self._fate_rng())
-        if kind is not None and self.on_fault is not None:
-            self.on_fault(kind)
-        if kind is not None and kind is not FaultKind.GARBLED:
-            self.inner.probe_count += 1  # the failed submission still counts
-            raise error_for_fault(
-                kind, f"source {self.interface_id} submit"
-            )
-        page = self.inner.submit(values)
-        if kind is FaultKind.GARBLED:
-            self.garbled_count += 1
-            return ResponsePage(page.url, garble_text(page.text))
-        return page
+
+def _garble(method: str, answer):
+    """What a payload truncated mid-transfer reads as."""
+    if method == "search":
+        return [
+            SearchResult(r.doc_id, r.url, r.title, garble_text(r.snippet))
+            for r in answer
+        ]
+    if method == "submit":
+        return ResponsePage(answer.url, garble_text(answer.text))
+    # A truncated hit-count page reads as "no evidence", not garbage.
+    return 0

@@ -13,7 +13,7 @@ or is dropped whole. Concretely an epoch bundles
   ``from_body(to_body())`` before any mutation).
 
 A request never mutates its parent epoch: the pipeline *applies* the
-parent's preload into its own fresh ``CachingSearchEngine`` and captures
+parent's preload into its own fresh ``QueryCache`` and captures
 a brand-new preload at the end; assimilation runs against a deep copy of
 the parent's store. So a crash (or deadline expiry, or shed) anywhere
 mid-request leaves nothing to undo — recovery is literally "do not call

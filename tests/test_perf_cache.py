@@ -1,4 +1,4 @@
-"""Tests for repro.perf: LRU cache, stats accounting, caching engine.
+"""Tests for repro.perf: LRU cache, stats accounting, the cache layer.
 
 The cache's contract: hits return the exact value the wrapped engine would
 return, without reaching it (no query_count movement, no budget or latency
@@ -9,22 +9,17 @@ refused); eviction is LRU with full accounting.
 import pytest
 
 from repro.perf import (
+    DEFAULT_CACHE_ENTRIES,
     CacheConfig,
     CacheStats,
-    CachingSearchEngine,
     LRUCache,
     ValidationCache,
     normalize_query,
 )
-from repro.resilience import (
-    FaultProfile,
-    FlakySearchEngine,
-    ResilienceConfig,
-    ResilientClient,
-    ResilientSearchEngine,
-)
+from repro.resilience import FaultProfile, ResilienceConfig
 from repro.surfaceweb.document import Document
 from repro.surfaceweb.engine import SearchEngine
+from repro.webstack import build_web_stack
 
 
 def make_engine():
@@ -33,6 +28,14 @@ def make_engine():
         Document(1, "u1", "t", "Cities such as Boston, Chicago, Miami."),
         Document(2, "u2", "t", "Fly from Boston to Chicago or Miami."),
     ])
+
+
+def cached(engine=None, max_entries=DEFAULT_CACHE_ENTRIES, resilience=None):
+    """The engine facade behind the cache layer, and the cache's state."""
+    stack = build_web_stack(
+        engine if engine is not None else make_engine(), {},
+        resilience=resilience, cache=CacheConfig(max_entries))
+    return stack.engine, stack.cache
 
 
 class TestNormalizeQuery:
@@ -105,37 +108,37 @@ class TestCacheConfig:
 
 class TestCachingSearchEngine:
     def test_hit_skips_the_engine(self):
-        caching = CachingSearchEngine(make_engine())
+        caching, cache = cached()
         first = caching.num_hits("boston")
         count_after_miss = caching.query_count
         second = caching.num_hits("boston")
         assert second == first
         assert caching.query_count == count_after_miss
-        assert caching.stats.hits == 1
-        assert caching.stats.misses == 1
+        assert cache.stats.hits == 1
+        assert cache.stats.misses == 1
 
     def test_normalized_variants_share_one_entry(self):
-        caching = CachingSearchEngine(make_engine())
+        caching, cache = cached()
         caching.num_hits("Boston")
         caching.num_hits("  boston ")
         caching.num_hits("BOSTON")
-        assert caching.stats.misses == 1
-        assert caching.stats.hits == 2
+        assert cache.stats.misses == 1
+        assert cache.stats.hits == 2
         assert caching.query_count == 1
 
     def test_methods_and_arguments_key_separately(self):
-        caching = CachingSearchEngine(make_engine())
+        caching, cache = cached()
         caching.num_hits("boston")
         caching.search("boston")
         caching.search("boston", max_results=3)
         caching.num_hits_proximity("cities", "boston")
         caching.num_hits_proximity("cities", "boston", window=2)
-        assert caching.stats.misses == 5
-        assert caching.stats.hits == 0
+        assert cache.stats.misses == 5
+        assert cache.stats.hits == 0
 
     def test_answers_match_the_engine_exactly(self):
         engine = make_engine()
-        caching = CachingSearchEngine(make_engine())
+        caching, _ = cached()
         for query in ("boston", "cities", "no such term"):
             assert caching.num_hits(query) == engine.num_hits(query)
             assert caching.num_hits(query) == engine.num_hits(query)  # hit
@@ -144,37 +147,32 @@ class TestCachingSearchEngine:
             engine.num_hits_proximity("cities", "boston")
 
     def test_capacity_one_thrashes_but_stays_correct(self):
-        caching = CachingSearchEngine(make_engine(), max_entries=1)
+        caching, cache = cached(max_entries=1)
         a = caching.num_hits("boston")
         b = caching.num_hits("chicago")   # evicts boston
         assert caching.num_hits("boston") == a
         assert caching.num_hits("chicago") == b
-        assert caching.stats.evictions >= 2
+        assert cache.stats.evictions >= 2
 
     def test_degraded_answer_is_not_cached(self):
         # A dead engine (every call times out, zero retries, so the
-        # resilient proxy degrades to neutral 0) must not have its neutral
+        # retry layer degrades to neutral 0) must not have its neutral
         # answer memoised: once the Web recovers, the query gets re-asked.
         profile = FaultProfile(fault_rate=1.0, timeout_weight=1.0,
                                transient_weight=0.0, rate_limit_weight=0.0,
                                garbled_weight=0.0)
-        client = ResilientClient(ResilienceConfig(
+        caching, cache = cached(resilience=ResilienceConfig(
             profile=profile,
             retry=_no_retry(),
             breaker=_no_breaker(),
         ))
-        flaky = FlakySearchEngine(
-            make_engine(), profile,
-            attempt_provider=lambda: client.current_attempt)
-        resilient = ResilientSearchEngine(flaky, client)
-        caching = CachingSearchEngine(resilient)
 
         assert caching.num_hits("boston") == 0
-        assert caching.stats.uncacheable == 1
-        assert caching.stats.stores == 0
+        assert cache.stats.uncacheable == 1
+        assert cache.stats.stores == 0
         caching.num_hits("boston")
-        assert caching.stats.hits == 0          # re-asked, not served stale
-        assert caching.stats.misses == 2
+        assert cache.stats.hits == 0          # re-asked, not served stale
+        assert cache.stats.misses == 2
 
     def test_garbled_answer_is_not_cached(self):
         # Garbled num_hits "succeeds" with 0 — a corrupted payload, not an
@@ -182,36 +180,29 @@ class TestCachingSearchEngine:
         profile = FaultProfile(fault_rate=1.0, timeout_weight=0.0,
                                transient_weight=0.0, rate_limit_weight=0.0,
                                garbled_weight=1.0)
-        flaky = FlakySearchEngine(make_engine(), profile)
-        caching = CachingSearchEngine(flaky)
+        caching, cache = cached(resilience=ResilienceConfig(profile=profile))
 
         assert caching.num_hits("boston") == 0
-        assert caching.stats.uncacheable == 1
-        assert caching.stats.stores == 0
+        assert cache.stats.uncacheable == 1
+        assert cache.stats.stores == 0
         assert caching.num_hits("boston") == 0
-        assert caching.stats.hits == 0
-        assert caching.stats.misses == 2
+        assert cache.stats.hits == 0
+        assert cache.stats.misses == 2
 
     def test_clean_answers_are_cached_even_on_flaky_stacks(self):
-        profile = FaultProfile(fault_rate=0.0)
-        client = ResilientClient(ResilienceConfig(profile=profile))
-        flaky = FlakySearchEngine(
-            make_engine(), profile,
-            attempt_provider=lambda: client.current_attempt)
-        caching = CachingSearchEngine(ResilientSearchEngine(flaky, client))
+        caching, cache = cached(resilience=ResilienceConfig(
+            profile=FaultProfile(fault_rate=0.0)))
         caching.num_hits("boston")
         caching.num_hits("boston")
-        assert caching.stats.hits == 1
-        assert caching.stats.stores == 1
+        assert cache.stats.hits == 1
+        assert cache.stats.stores == 1
 
     def test_facade_delegates_bookkeeping(self):
         engine = make_engine()
-        caching = CachingSearchEngine(engine)
-        assert caching.n_documents == engine.n_documents
+        caching, _ = cached(engine)
         caching.num_hits("boston")
-        assert engine.query_count == 1
-        caching.reset_query_count()
-        assert engine.query_count == 0
+        caching.num_hits("boston")
+        assert caching.query_count == engine.query_count == 1
 
 
 def _no_retry():

@@ -15,17 +15,16 @@ from repro.datasets import build_domain_dataset
 from repro.deepweb.models import Attribute, QueryInterface
 from repro.deepweb.response import analyze_response
 from repro.deepweb.source import DeepWebSource
+from repro.perf import CacheConfig
 from repro.resilience import (
     BreakerPolicy,
+    Budget,
     CircuitBreaker,
+    FaultInjector,
     FaultKind,
     FaultProfile,
-    FlakyDeepWebSource,
-    FlakySearchEngine,
     ResilienceConfig,
     ResilientClient,
-    ResilientDeepWebSource,
-    ResilientSearchEngine,
     RetryPolicy,
 )
 from repro.surfaceweb.document import Document
@@ -40,13 +39,18 @@ from repro.util.errors import (
     WebTimeoutError,
 )
 from repro.util.rng import derive_rng
+from repro.webstack import Engine, Source, build_web_stack
+
+
+def make_documents():
+    return [
+        Document(0, "u0", "t", "Authors such as King, Rowling, Tolkien."),
+        Document(1, "u1", "t", "Cities such as Boston, Chicago, Miami."),
+    ]
 
 
 def make_engine():
-    return SearchEngine([
-        Document(0, "u0", "t", "Authors such as King, Rowling, Tolkien."),
-        Document(1, "u1", "t", "Cities such as Boston, Chicago, Miami."),
-    ])
+    return SearchEngine(make_documents())
 
 
 def make_source():
@@ -62,6 +66,24 @@ def make_source():
 
 TIMEOUTS_ONLY = dict(transient_weight=0, rate_limit_weight=0, garbled_weight=0)
 GARBLED_ONLY = dict(timeout_weight=0, transient_weight=0, rate_limit_weight=0)
+
+
+def flaky_engine(profile, *above, on_fault=None):
+    """A fresh engine behind the fault layer (plus any ``above`` layers)."""
+    return Engine(make_engine(),
+                  [*above, FaultInjector(profile, on_fault=on_fault).layer])
+
+
+def flaky_source(profile):
+    """A fresh source behind the fault layer alone."""
+    return Source(make_source(), [FaultInjector(profile).layer])
+
+
+def resilient_stack(profile, **policies):
+    """The pipeline's own chain — retry over fault — with one source."""
+    return build_web_stack(
+        make_engine(), {"air-1": make_source()},
+        resilience=ResilienceConfig(profile=profile, **policies))
 
 
 class TestErrorHierarchy:
@@ -119,23 +141,20 @@ class TestFaultProfile:
 
 class TestFlakySearchEngine:
     def test_zero_rate_is_pass_through(self):
-        inner, pristine = make_engine(), make_engine()
-        flaky = FlakySearchEngine(inner, FaultProfile(fault_rate=0.0))
+        pristine = make_engine()
+        flaky = flaky_engine(FaultProfile(fault_rate=0.0))
         assert flaky.search('"such as"') == pristine.search('"such as"')
         assert flaky.num_hits("boston") == pristine.num_hits("boston")
         assert flaky.query_count == pristine.query_count
 
     def test_raising_faults_charge_the_round_trip(self):
-        flaky = FlakySearchEngine(
-            make_engine(), FaultProfile(fault_rate=1.0, **TIMEOUTS_ONLY))
+        flaky = flaky_engine(FaultProfile(fault_rate=1.0, **TIMEOUTS_ONLY))
         with pytest.raises(WebTimeoutError):
             flaky.search("boston")
         assert flaky.query_count == 1  # the failed round trip still counts
 
     def test_garbled_truncates_snippets(self):
-        inner = make_engine()
-        flaky = FlakySearchEngine(
-            inner, FaultProfile(fault_rate=1.0, **GARBLED_ONLY))
+        flaky = flaky_engine(FaultProfile(fault_rate=1.0, **GARBLED_ONLY))
         results = flaky.search('"such as"')
         clean = make_engine().search('"such as"')
         assert len(results) == len(clean)
@@ -144,8 +163,7 @@ class TestFlakySearchEngine:
             assert ok.snippet.startswith(garbled.snippet)
 
     def test_garbled_hit_counts_read_as_zero(self):
-        flaky = FlakySearchEngine(
-            make_engine(), FaultProfile(fault_rate=1.0, **GARBLED_ONLY))
+        flaky = flaky_engine(FaultProfile(fault_rate=1.0, **GARBLED_ONLY))
         assert flaky.num_hits("boston") == 0
         assert flaky.num_hits_proximity("cities", "boston") == 0
         assert flaky.query_count == 2
@@ -154,9 +172,8 @@ class TestFlakySearchEngine:
         # Fates are keyed by call content, so a repeated identical call
         # replays one fate forever; distinct queries sample the fate space.
         seen = []
-        flaky = FlakySearchEngine(
-            make_engine(), FaultProfile(fault_rate=1.0),
-            on_fault=seen.append)
+        flaky = flaky_engine(FaultProfile(fault_rate=1.0),
+                             on_fault=seen.append)
         for i in range(60):
             try:
                 flaky.num_hits(f"boston {i}")
@@ -168,8 +185,7 @@ class TestFlakySearchEngine:
         # The same query drawn twice — even with other traffic interleaved —
         # meets the same fate; this is what makes caching sound under faults.
         def fates(queries):
-            flaky = FlakySearchEngine(
-                make_engine(), FaultProfile(fault_rate=0.5, seed=7))
+            flaky = flaky_engine(FaultProfile(fault_rate=0.5, seed=7))
             out = {}
             for q in queries:
                 try:
@@ -186,9 +202,12 @@ class TestFlakySearchEngine:
 
     def test_retry_attempt_rerolls_fate(self):
         attempt = {"n": 0}
-        flaky = FlakySearchEngine(
-            make_engine(), FaultProfile(fault_rate=0.5, seed=3),
-            attempt_provider=lambda: attempt["n"])
+
+        def numbered(call, proceed):
+            call.attempt = attempt["n"]  # as the retry layer numbers them
+            return proceed(call)
+
+        flaky = flaky_engine(FaultProfile(fault_rate=0.5, seed=3), numbered)
 
         def fate(query):
             try:
@@ -210,15 +229,13 @@ class TestFlakySearchEngine:
 
 class TestFlakyDeepWebSource:
     def test_raising_faults_charge_the_probe(self):
-        flaky = FlakyDeepWebSource(
-            make_source(), FaultProfile(fault_rate=1.0, **TIMEOUTS_ONLY))
+        flaky = flaky_source(FaultProfile(fault_rate=1.0, **TIMEOUTS_ONLY))
         with pytest.raises(WebTimeoutError):
             flaky.submit({"from": "Boston"})
         assert flaky.probe_count == 1
 
     def test_garbled_page_is_a_truncated_real_page(self):
-        flaky = FlakyDeepWebSource(
-            make_source(), FaultProfile(fault_rate=1.0, **GARBLED_ONLY))
+        flaky = flaky_source(FaultProfile(fault_rate=1.0, **GARBLED_ONLY))
         clean = make_source().submit({"from": "Boston"})
         page = flaky.submit({"from": "Boston"})
         assert clean.text.startswith(page.text)
@@ -228,11 +245,13 @@ class TestFlakyDeepWebSource:
         profile = FaultProfile(fault_rate=0.5, seed=3, **TIMEOUTS_ONLY)
         outcomes = {}
         for make_noise in (0, 5):
-            flaky_a = FlakyDeepWebSource(make_source(), profile)
+            # One fault layer serves both sources, as in a pipeline run.
+            faults = FaultInjector(profile)
+            flaky_a = Source(make_source(), [faults.layer])
             # interleave traffic to a second source; A's fate must not move
             other = make_source()
             other.interface.interface_id = "air-2"
-            flaky_b = FlakyDeepWebSource(other, profile)
+            flaky_b = Source(other, [faults.layer])
             for _ in range(make_noise):
                 try:
                     flaky_b.submit({"from": "Boston"})
@@ -425,15 +444,16 @@ class TestResilientClient:
         assert run_once() == run_once()
 
     def test_current_attempt_is_per_thread(self):
-        """A concurrent call must not clobber another thread's attempt.
+        """A concurrent call must not clobber another call's attempt.
 
-        Regression test for an order-dependence bug: ``current_attempt``
-        was a plain instance attribute, so another thread's fresh
-        ``call`` (attempt 0) reset the attempt index this thread's retry
-        loop was mid-way through — re-keying its fault fates from re-roll
-        back to replay. Thread A retries into attempt 1, then parks while
-        thread B completes a call on the *same* client; A must still see
-        its own attempt index afterwards.
+        Regression test for an order-dependence bug: the attempt index
+        was once a plain attribute of the shared client, so another
+        thread's fresh call (attempt 0) reset the index this thread's
+        retry loop was mid-way through — re-keying its fault fates from
+        re-roll back to replay. The index now lives on each call's own
+        record. Thread A retries into attempt 1, then parks while thread
+        B completes a call through the *same* chain; A must still see its
+        own attempt index afterwards.
         """
         client = ResilientClient(
             ResilienceConfig(retry=RetryPolicy(max_attempts=3)))
@@ -441,36 +461,39 @@ class TestResilientClient:
         b_done = threading.Event()
         seen = {}
 
-        def fn_a():
-            if client.current_attempt == 0:
-                raise TransientWebError("first attempt fails")
-            a_retrying.set()
-            assert b_done.wait(5.0), "thread B never completed"
-            seen["a"] = client.current_attempt
-            return "a"
+        def fates(call, proceed):
+            if call.args == ("a",):
+                if call.attempt == 0:
+                    raise TransientWebError("first attempt fails")
+                a_retrying.set()
+                assert b_done.wait(5.0), "thread B never completed"
+                seen["a"] = call.attempt
+            return proceed(call)
+
+        engine = Engine(make_engine(), [client.layer, fates])
 
         def thread_b():
             assert a_retrying.wait(5.0), "thread A never reached attempt 1"
-            client.call(lambda: "b")
+            engine.num_hits("b")
             b_done.set()
 
         helper = threading.Thread(target=thread_b)
         helper.start()
         try:
-            assert client.call(fn_a) == "a"
+            assert engine.num_hits("a") == make_engine().num_hits("a")
         finally:
-            b_done.set()  # never leave fn_a parked if B died
+            b_done.set()  # never leave A parked if B died
             helper.join(5.0)
         assert seen["a"] == 1
+        assert client.report.total_retries == 1
 
 
 class TestResilientProxies:
     def dead_engine(self, **retry_kwargs):
-        client = ResilientClient(ResilienceConfig(
-            retry=RetryPolicy(max_attempts=2, **retry_kwargs)))
-        flaky = FlakySearchEngine(
-            make_engine(), FaultProfile(fault_rate=1.0, **TIMEOUTS_ONLY))
-        return ResilientSearchEngine(flaky, client), client
+        stack = resilient_stack(
+            FaultProfile(fault_rate=1.0, **TIMEOUTS_ONLY),
+            retry=RetryPolicy(max_attempts=2, **retry_kwargs))
+        return stack.engine, stack.client
 
     def test_engine_degrades_to_neutral_values(self):
         engine, client = self.dead_engine()
@@ -480,33 +503,29 @@ class TestResilientProxies:
         assert client.report.giveups_by_component["web"] == 3
 
     def test_engine_pass_through_when_healthy(self):
-        client = ResilientClient(ResilienceConfig())
-        flaky = FlakySearchEngine(make_engine(), FaultProfile(fault_rate=0.0))
-        engine = ResilientSearchEngine(flaky, client)
-        assert engine.search('"such as"') == make_engine().search('"such as"')
-        assert client.report.empty
+        stack = resilient_stack(FaultProfile(fault_rate=0.0))
+        assert stack.engine.search('"such as"') == \
+            make_engine().search('"such as"')
+        assert stack.client.report.empty
 
     def test_dead_source_degrades_to_failure_page(self):
-        client = ResilientClient(ResilienceConfig(
-            retry=RetryPolicy(max_attempts=2)))
-        flaky = FlakyDeepWebSource(
-            make_source(), FaultProfile(fault_rate=1.0, **TIMEOUTS_ONLY))
-        source = ResilientDeepWebSource(flaky, client)
-        page = source.submit({"from": "Boston"})
+        stack = resilient_stack(
+            FaultProfile(fault_rate=1.0, **TIMEOUTS_ONLY),
+            retry=RetryPolicy(max_attempts=2))
+        page = stack.sources["air-1"].submit({"from": "Boston"})
         assert not analyze_response(page.text).success
         assert "unavailable" in page.url
 
     def test_breaker_stops_probe_consumption(self):
         # A dead source must stop burning real probes once its breaker is
         # open: fast-fails never reach the inner source.
-        client = ResilientClient(ResilienceConfig(
+        stack = resilient_stack(
+            FaultProfile(fault_rate=1.0, **TIMEOUTS_ONLY),
             retry=RetryPolicy(max_attempts=10),
             breaker=BreakerPolicy(failure_threshold=3,
                                   cooldown_rejections=100),
-        ))
-        flaky = FlakyDeepWebSource(
-            make_source(), FaultProfile(fault_rate=1.0, **TIMEOUTS_ONLY))
-        source = ResilientDeepWebSource(flaky, client)
+        )
+        source = stack.sources["air-1"]
         source.submit({"from": "Boston"})
         probes_at_trip = source.probe_count
         assert probes_at_trip == 3
@@ -564,63 +583,65 @@ class TestPipelineBudgetDegradation:
 
 
 class TestPerTenantProxyIsolation:
-    """``ResilientSearchEngine.last_degraded`` must be thread-local.
+    """``Call.degraded`` must belong to one call, not to the shared chain.
 
-    The matching service shares one resilient proxy between concurrently
-    submitting tenants with *different* budgets. ``last_degraded`` is the
+    The matching service shares one Web stack between concurrently
+    submitting tenants with *different* budgets. ``degraded`` is the
     cache layer's cleanliness signal: if tenant B's budget-exhausted
-    degradation can flip the flag between tenant A's fetch and A's
-    cleanliness check, the cache above refuses to memoise A's perfectly
-    clean answer — and A re-spends a real round trip on its next
-    identical query. That is spend cross-contamination, and this test
-    failed before the flag became thread-local (mirroring the PR-7
-    ``current_attempt`` fix).
+    degradation could flip the flag between tenant A's fetch and A's
+    cleanliness check, the cache above would refuse to memoise A's
+    perfectly clean answer — and A would re-spend a real round trip on
+    its next identical query. That is spend cross-contamination; the
+    flag once lived on the shared resilient proxy and had exactly this
+    bug. It now lives on each call's own record.
 
     The interleaving is event-orchestrated, not a real race: tenant A's
-    call deterministically parks inside the inner engine until tenant B's
+    search deterministically parks inside the engine until tenant B's
     degraded call has come and gone.
     """
 
-    class _BlockingEngine:
-        """Inner engine that parks A's search until B has degraded."""
+    class _ParkingEngine(SearchEngine):
+        """An engine whose searches park until tenant B has degraded."""
 
-        def __init__(self, inner, a_inside, b_done):
-            self.inner = inner
+        def __init__(self, a_inside, b_done):
+            super().__init__(make_documents())
             self.a_inside = a_inside
             self.b_done = b_done
 
         def search(self, query, max_results=10):
             self.a_inside.set()
             assert self.b_done.wait(5.0), "tenant B never ran"
-            return self.inner.search(query, max_results)
+            return super().search(query, max_results)
 
-        def __getattr__(self, name):
-            return getattr(self.inner, name)
-
-    def _interleaved_engine(self):
-        from repro.resilience import Budget
-
+    def _interleaved(self):
         a_inside = threading.Event()
         b_done = threading.Event()
-        client = ResilientClient(ResilienceConfig())
+        return self._ParkingEngine(a_inside, b_done), a_inside, b_done
+
+    @staticmethod
+    def _tenant_b_budget(client):
         # Per-tenant budgets, injected under the tenants' component names:
         # B's pool is already empty, so B's very first call degrades.
         client._budgets["tenant_b"] = Budget(limit=0)
-        engine = ResilientSearchEngine(
-            self._BlockingEngine(make_engine(), a_inside, b_done), client)
-        return engine, client, a_inside, b_done
 
     def test_other_tenants_degradation_does_not_contaminate(self):
-        engine, client, a_inside, b_done = self._interleaved_engine()
+        substrate, a_inside, b_done = self._interleaved()
+        client = ResilientClient(ResilienceConfig())
+        self._tenant_b_budget(client)
+        flags = {}
+
+        def cleanliness(call, proceed):
+            # The check the cache layer performs, right after the fetch.
+            answer = proceed(call)
+            flags[call.method] = call.degraded
+            return answer
+
+        engine = Engine(substrate, [cleanliness, client.layer])
         outcome = {}
 
         def tenant_a():
             with client.component("tenant_a"):
-                results = engine.search('"such as"')
-                # The cleanliness check the cache layer performs,
-                # immediately after the fetch, on A's own thread:
-                outcome["degraded"] = engine.last_degraded
-                outcome["results"] = results
+                outcome["results"] = engine.search('"such as"')
 
         thread = threading.Thread(target=tenant_a)
         thread.start()
@@ -628,43 +649,46 @@ class TestPerTenantProxyIsolation:
             assert a_inside.wait(5.0), "tenant A never reached the engine"
             with client.component("tenant_b"):
                 assert engine.num_hits("boston") == 0  # budget-degraded
-                assert engine.last_degraded is True
+                assert flags["num_hits"] is True
         finally:
             b_done.set()
             thread.join(5.0)
 
         assert outcome["results"] == make_engine().search('"such as"')
-        # Pre-fix this read True: B's degradation, observed from A's
-        # thread, poisoned A's clean fetch.
-        assert outcome["degraded"] is False
+        # B's degradation, observed from A's thread, must not poison A's
+        # clean fetch.
+        assert flags["search"] is False
         assert client.report.budgets_exhausted == ["tenant_b"]
 
     def test_clean_answer_is_cached_despite_interleaved_degradation(self):
-        from repro.perf import CachingSearchEngine
-
-        engine, client, a_inside, b_done = self._interleaved_engine()
-        caching = CachingSearchEngine(engine)
+        substrate, a_inside, b_done = self._interleaved()
+        stack = build_web_stack(substrate, {},
+                                resilience=ResilienceConfig(),
+                                cache=CacheConfig())
+        client, engine = stack.client, stack.engine
+        self._tenant_b_budget(client)
         spent = {}
 
         def tenant_a():
             with client.component("tenant_a"):
-                caching.search('"such as"')
+                engine.search('"such as"')
                 # Identical repeat: a stored answer costs zero round trips.
-                before = caching.query_count
-                caching.search('"such as"')
-                spent["extra_round_trips"] = caching.query_count - before
+                before = engine.query_count
+                engine.search('"such as"')
+                spent["extra_round_trips"] = engine.query_count - before
 
         thread = threading.Thread(target=tenant_a)
         thread.start()
         try:
             assert a_inside.wait(5.0), "tenant A never reached the engine"
             with client.component("tenant_b"):
-                caching.num_hits("boston")
+                engine.num_hits("boston")
         finally:
             b_done.set()
             thread.join(5.0)
 
-        # Pre-fix: B's flag flip made the cache refuse A's clean answer,
-        # so the repeat query re-spent a real round trip (1, not 0).
+        # Had B's degradation leaked into A's call, the cache would have
+        # refused A's clean answer and the repeat would re-spend a real
+        # round trip (1, not 0).
         assert spent["extra_round_trips"] == 0
-        assert caching.stats.hits >= 1
+        assert stack.cache.stats.hits >= 1
