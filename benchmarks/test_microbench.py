@@ -8,7 +8,12 @@ performance regressions are visible at the operation level:
 - phrase queries and hit counting,
 - snippet extraction from one result,
 - pairwise similarity evaluation and full constrained clustering,
+- §5 case-2 donor scoring over a finished airfare acquisition,
 - a Deep-Web probe round trip.
+
+The similarity operations build fresh attribute views every round, so
+each view's profile is built inside the timed window: with reused views
+the warmup would leave only cached lookups to time.
 
 Each operation is timed with :func:`time.perf_counter_ns` over ``k``
 repetitions after a warmup pass; the **median** is reported, which is
@@ -19,11 +24,13 @@ override: ``BENCH_MICRO_JSON``) as a versioned bench envelope
 work counts gate tight.
 """
 
+import dataclasses
 import statistics
 import time
 
 import pytest
 
+from repro.core.acquisition import InstanceAcquirer
 from repro.core.surface import ExtractionQueryBuilder, SnippetExtractor
 from repro.datasets import build_domain_dataset
 from repro.datasets.corpus import build_corpus
@@ -32,6 +39,7 @@ from repro.matching.clustering import views_from_interfaces
 from repro.matching.similarity import attribute_similarity
 from repro.surfaceweb.engine import SearchEngine
 from repro.text.labels import analyze_label
+from repro.util import counters as work
 
 from .conftest import BENCH_SEED, TOL_TIGHT, TOL_WALL, emit_bench, print_table
 
@@ -39,6 +47,19 @@ from .conftest import BENCH_SEED, TOL_TIGHT, TOL_WALL, emit_bench, print_table
 ROUNDS = 15
 #: expensive whole-subsystem operations get fewer rounds
 ROUNDS_SLOW = 5
+
+
+def fresh(views):
+    """Copies of ``views`` without their cached similarity profiles."""
+    return [dataclasses.replace(view) for view in views]
+
+
+def counted(fn):
+    """``fn()``'s result and the work counters it bumped."""
+    counters = work.WorkCounters()
+    with work.collecting(counters):
+        result = fn()
+    return result, counters
 
 
 def median_ms(fn, rounds=ROUNDS, warmup=1):
@@ -75,7 +96,30 @@ def airfare_views():
     return views_from_interfaces(dataset.interfaces)
 
 
-def test_microbench(auto_docs, auto_engine, airfare_views):
+@pytest.fixture(scope="module")
+def airfare_acquired():
+    """An airfare/20 world after a full acquisition run, with the
+    acquirer that ran it: the donor pool case-2 scoring searches."""
+    dataset = build_domain_dataset("airfare", n_interfaces=20,
+                                   seed=BENCH_SEED)
+    acquirer = InstanceAcquirer(dataset.engine, dataset.sources)
+    acquirer.acquire(dataset.interfaces,
+                     domain_keywords=dataset.spec.keyword_terms(),
+                     object_name=dataset.spec.object_name)
+    return acquirer, dataset.interfaces
+
+
+def score_donors(acquirer, interfaces):
+    """Case-2 donors of every pre-defined attribute; the value indexes
+    are rebuilt, as each acquire() call rebuilds them."""
+    acquirer._value_indexes.clear()
+    return sum(len(acquirer._case2_donors(interface, attribute))
+               for interface in interfaces
+               for attribute in interface.attributes
+               if attribute.has_instances)
+
+
+def test_microbench(auto_docs, auto_engine, airfare_views, airfare_acquired):
     timings = {}
 
     index_ms, engine = median_ms(
@@ -105,15 +149,26 @@ def test_microbench(auto_docs, auto_engine, airfare_views):
     timings["snippet_extraction_ms"] = extract_ms
     assert candidates
 
-    a, b = airfare_views[0], airfare_views[25]
-    sim_ms, _ = median_ms(lambda: attribute_similarity(a, b))
+    pair = [airfare_views[0], airfare_views[25]]
+    sim_ms, _ = median_ms(lambda: attribute_similarity(*fresh(pair)))
     timings["pairwise_similarity_ms"] = sim_ms
 
     matcher = IceQMatcher()
     cluster_ms, cluster_result = median_ms(
-        lambda: matcher.match_views(airfare_views), rounds=ROUNDS_SLOW)
+        lambda: matcher.match_views(fresh(airfare_views)), rounds=ROUNDS_SLOW)
     timings["full_clustering_ms"] = cluster_ms
     assert cluster_result.clusters
+    _, cluster_counters = counted(
+        lambda: matcher.match_views(fresh(airfare_views)))
+
+    acquirer, acquired_interfaces = airfare_acquired
+    donor_ms, donors = median_ms(
+        lambda: score_donors(acquirer, acquired_interfaces),
+        rounds=ROUNDS_SLOW)
+    timings["donor_scoring_ms"] = donor_ms
+    assert donors
+    _, donor_counters = counted(
+        lambda: score_donors(acquirer, acquired_interfaces))
 
     dataset = build_domain_dataset("airfare", n_interfaces=5,
                                    seed=BENCH_SEED)
@@ -139,6 +194,12 @@ def test_microbench(auto_docs, auto_engine, airfare_views):
         "extraction_candidates": len(candidates),
         "clusters": len(cluster_result.clusters),
         "cluster_evaluations": cluster_result.similarity_evaluations,
+        # one type inference per view with instances, not per pair
+        "types.inferences": cluster_counters.get("types.inferences"),
+        "case2_donors": donors,
+        # candidate pairs the partner index left to values_similar
+        "similarity.value_pairs": donor_counters.get(
+            "similarity.value_pairs"),
     }
 
     metrics = dict(work)

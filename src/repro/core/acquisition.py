@@ -42,7 +42,7 @@ from repro.deepweb.models import Attribute, QueryInterface
 from repro.deepweb.source import DeepWebSource
 from repro.exec.context import unit_scope
 from repro.exec.dag import ExecutionDAG, WorkUnit
-from repro.matching.similarity import label_similarity, value_similarity, values_similar
+from repro.matching.similarity import containment, label_similarity, values_similar
 from repro.obs.instrument import Observability
 from repro.obs.provenance import (
     PHASE_ATTR_DEEP,
@@ -203,6 +203,9 @@ class InstanceAcquirer:
         # to a (phase, interface, attribute) and quarantine repeat
         # offenders.
         self._current_unit: Optional[Tuple[str, str, str]] = None
+        # Donor-scoring indexes, keyed by value content; lives for one
+        # acquire() call (instance lists grow as the run proceeds).
+        self._value_indexes: Dict[tuple, _ValueIndex] = {}
         self.validation_cache = validation_cache
         self._discoverer = SurfaceDiscoverer(
             engine, config.surface, validation_cache=validation_cache,
@@ -259,6 +262,8 @@ class InstanceAcquirer:
                 except AttributeError:
                     pass  # exceptions with __slots__: crash stays unattributed
             raise
+        finally:
+            self._value_indexes.clear()
 
     def _acquire(
         self,
@@ -481,7 +486,8 @@ class InstanceAcquirer:
         interface designer pre-defined.
         """
         others = [
-            y for y in interface.attributes
+            frozenset(v.strip().lower() for v in y.instances)
+            for y in interface.attributes
             if y.name != attribute.name and y.instances
         ]
         scored: List[Tuple[float, str, Attribute]] = []
@@ -489,11 +495,11 @@ class InstanceAcquirer:
             sim = label_similarity(attribute.label, donor.label)
             if sim < self.config.label_sim_threshold:
                 continue
-            donor_values = donor.all_instances()
+            donor_values = self._value_index(donor).normalized
             if any(
-                value_similarity(donor_values, list(y.instances))
+                containment(donor_values, y_values)
                 > self.config.domain_dissimilar_max
-                for y in others
+                for y_values in others
             ):
                 continue
             scored.append((sim, other_interface.interface_id, donor))
@@ -545,18 +551,18 @@ class InstanceAcquirer:
         """Donor ``(interface_id, attribute)`` pairs for a pre-defined
         attribute (§5 case 2): the domains share at least
         ``min_similar_values`` very similar values."""
-        own = attribute.all_instances()
+        own = self._value_index(attribute)
         scored: List[Tuple[int, str, Attribute]] = []
         for other_interface, donor in self._donor_candidates(interface):
-            donor_values = donor.all_instances()
-            if not donor_values:
+            donor_index = self._value_index(donor)
+            if not donor_index.values:
                 continue
             if (
-                value_similarity(own, donor_values)
+                containment(own.normalized, donor_index.normalized)
                 >= self.config.case2_skip_overlap
             ):
                 continue  # domains already similar: nothing to gain
-            overlap = _count_similar_values(own, donor_values)
+            overlap = _count_similar_values(own, donor_index)
             if overlap >= self.config.min_similar_values:
                 scored.append((overlap, other_interface.interface_id, donor))
         scored.sort(key=lambda item: (-item[0], item[2].label.lower()))
@@ -656,6 +662,17 @@ class InstanceAcquirer:
         self.resilience.skip_attribute(interface.interface_id, attribute.name)
         return True
 
+    def _value_index(self, attribute: Attribute) -> "_ValueIndex":
+        """The donor-scoring index of ``attribute.all_instances()``, built
+        once per (pre-defined, acquired) content within this acquire()
+        call."""
+        key = (attribute.instances, tuple(attribute.acquired))
+        index = self._value_indexes.get(key)
+        if index is None:
+            index = self._value_indexes[key] = _ValueIndex(
+                attribute.all_instances())
+        return index
+
     def _donor_candidates(self, interface: QueryInterface):
         """Attributes whose instance sets are trustworthy donor domains.
 
@@ -681,10 +698,50 @@ class InstanceAcquirer:
         return sum(s.probe_count for s in self.sources.values())
 
 
-def _count_similar_values(values_a: Sequence[str], values_b: Sequence[str]) -> int:
-    """How many of ``values_a`` have a very similar partner in ``values_b``."""
+class _ValueIndex:
+    """One instance list, normalised once, for §5 donor scoring.
+
+    ``normalized`` is the ``strip().lower()`` value set that
+    :func:`~repro.matching.similarity.containment` compares; ``postings``
+    maps each word of a normalised value to the positions of the values
+    containing it. The per-value ``normalized_values`` and ``tokens``
+    serve the list when it is the target side of
+    :func:`_count_similar_values`.
+    """
+
+    __slots__ = ("values", "normalized_values", "tokens", "normalized",
+                 "postings")
+
+    def __init__(self, values: Sequence[str]) -> None:
+        self.values: Tuple[str, ...] = tuple(values)
+        self.normalized_values = tuple(v.strip().lower() for v in self.values)
+        self.tokens = tuple(v.split() for v in self.normalized_values)
+        self.normalized = frozenset(self.normalized_values)
+        self.postings: Dict[str, List[int]] = {}
+        for position, tokens in enumerate(self.tokens):
+            for token in tokens:
+                self.postings.setdefault(token, []).append(position)
+
+
+def _count_similar_values(target: _ValueIndex, donor: _ValueIndex) -> int:
+    """How many of ``target``'s values have a very similar partner among
+    ``donor``'s values (paper §5, case 2).
+
+    Equal normalised values match outright. Otherwise a word Jaccard of
+    at least 0.5 needs a shared word, so only donor values sharing one
+    can match (prefix filtering: no true partner is skipped); each is
+    decided by :func:`~repro.matching.similarity.values_similar`.
+    """
     count = 0
-    for a in values_a:
-        if any(values_similar(a, b) for b in values_b):
+    postings, donor_values = donor.postings, donor.values
+    for value, normalized, tokens in zip(
+            target.values, target.normalized_values, target.tokens):
+        if normalized in donor.normalized:
+            count += 1
+            continue
+        candidates = {position for token in tokens
+                      for position in postings.get(token, ())}
+        if candidates and any(values_similar(value, donor_values[position])
+                              for position in sorted(candidates)):
             count += 1
     return count

@@ -9,13 +9,20 @@ entire meaning of airfare labels).
 numeric domains compare by range overlap, string/date domains by containment
 of normalised values. Attributes without instances have ``DomSim = 0`` —
 the root cause of the matching failures WebIQ exists to fix.
+
+The functions below are the reference definitions. The matcher itself
+evaluates each pair from two :class:`AttributeProfile` objects — every
+per-attribute feature (label word vector, inferred type, numeric range,
+normalised value set) computed once per :class:`AttributeView` instead of
+once per pair — and returns the same floats bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 
 from repro.matching.types import DomainType, infer_type
 from repro.stats.outliers import parse_numeric
@@ -24,12 +31,14 @@ from repro.text.tokenizer import words as word_tokens
 from repro.util import counters as work
 
 __all__ = [
+    "AttributeProfile",
     "AttributeView",
     "SimilarityConfig",
     "label_similarity",
     "value_similarity",
     "domain_similarity",
     "attribute_similarity",
+    "containment",
     "similarity_components",
     "normalize_label_words",
     "values_similar",
@@ -54,6 +63,26 @@ class SimilarityConfig:
 
 
 @dataclass(frozen=True)
+class AttributeProfile:
+    """The per-attribute features ``Sim`` reads, computed once.
+
+    Built by :attr:`AttributeView.profile`; never mutated afterwards.
+    """
+
+    #: word counts of the normalised label (:func:`normalize_label_words`)
+    label_vector: Dict[str, int]
+    #: Euclidean norm of ``label_vector``; 0.0 for a label without words
+    label_norm: float
+    #: the inferred domain type (:func:`infer_type`)
+    domain_type: DomainType
+    #: (min, max) of the parseable values; only computed for numeric types
+    numeric_range: Optional[Tuple[float, float]]
+    #: ``strip().lower()``-normalised instance values; empty exactly when
+    #: the attribute has no instances (``DomSim = 0`` then)
+    values: frozenset
+
+
+@dataclass(frozen=True)
 class AttributeView:
     """What the matcher sees of an attribute: identity, label, instances."""
 
@@ -65,6 +94,25 @@ class AttributeView:
     @property
     def key(self) -> Tuple[str, str]:
         return (self.interface_id, self.name)
+
+    @cached_property
+    def profile(self) -> AttributeProfile:
+        """This view's similarity features, built on first use and kept
+        for the view's lifetime (views are immutable, so it never goes
+        stale)."""
+        vector: Dict[str, int] = {}
+        for word in normalize_label_words(self.label):
+            vector[word] = vector.get(word, 0) + 1
+        instances = self.instances
+        domain_type = infer_type(instances) if instances else DomainType.STRING
+        return AttributeProfile(
+            label_vector=vector,
+            label_norm=math.sqrt(sum(v * v for v in vector.values())),
+            domain_type=domain_type,
+            numeric_range=(_numeric_range(instances)
+                           if domain_type.is_numeric else None),
+            values=frozenset(v.strip().lower() for v in instances),
+        )
 
 
 def normalize_label_words(label: str) -> List[str]:
@@ -113,6 +161,8 @@ def values_similar(value_a: str, value_b: str) -> bool:
     ("Delta Air Lines" ~ "Delta Airlines" fails, but "United Airlines" ~
     "United" passes via the 0.5 overlap rule).
     """
+    if work.ACTIVE is not None:
+        work.ACTIVE.bump("similarity.value_pairs")
     a = value_a.strip().lower()
     b = value_b.strip().lower()
     if a == b:
@@ -136,6 +186,14 @@ def value_similarity(values_a: Sequence[str], values_b: Sequence[str]) -> float:
         return 0.0
     set_a = {v.strip().lower() for v in values_a}
     set_b = {v.strip().lower() for v in values_b}
+    return len(set_a & set_b) / min(len(set_a), len(set_b))
+
+
+def containment(set_a: AbstractSet[str], set_b: AbstractSet[str]) -> float:
+    """``|A ∩ B| / min(|A|, |B|)`` of two already-normalised value sets —
+    :func:`value_similarity` after its normalisation step."""
+    if not set_a or not set_b:
+        return 0.0
     return len(set_a & set_b) / min(len(set_a), len(set_b))
 
 
@@ -198,9 +256,39 @@ def similarity_components(
     """
     if work.ACTIVE is not None:
         work.ACTIVE.bump("similarity.evaluations")
-    label_sim = label_similarity(a.label, b.label)
-    dom_sim = domain_similarity(a.instances, b.instances, config)
+    profile_a, profile_b = a.profile, b.profile
+    label_sim = _profile_label_similarity(profile_a, profile_b)
+    dom_sim = _profile_domain_similarity(profile_a, profile_b, config)
     return label_sim, dom_sim, config.alpha * label_sim + config.beta * dom_sim
+
+
+def _profile_label_similarity(a: AttributeProfile, b: AttributeProfile) -> float:
+    """:func:`label_similarity` over two profiles (same float)."""
+    if not a.label_norm or not b.label_norm:
+        return 0.0
+    vec_b = b.label_vector
+    dot = sum(n * vec_b.get(w, 0) for w, n in a.label_vector.items())
+    return dot / (a.label_norm * b.label_norm)
+
+
+def _profile_domain_similarity(
+    a: AttributeProfile, b: AttributeProfile, config: SimilarityConfig,
+) -> float:
+    """:func:`domain_similarity` over two profiles (same float)."""
+    if not a.values or not b.values:
+        return 0.0
+    type_a, type_b = a.domain_type, b.domain_type
+    if type_a is type_b:
+        type_factor = 1.0
+    elif type_a.is_numeric and type_b.is_numeric:
+        type_factor = config.numeric_family_factor
+    else:
+        return 0.0
+    if type_a.is_numeric and type_b.is_numeric:
+        if a.numeric_range is None or b.numeric_range is None:
+            return 0.0
+        return type_factor * _range_overlap(a.numeric_range, b.numeric_range)
+    return type_factor * containment(a.values, b.values)
 
 
 def attribute_similarity(

@@ -12,6 +12,8 @@ import enum
 import re
 from typing import Iterable, Sequence
 
+from repro.util import counters as work
+
 __all__ = ["DomainType", "infer_type", "value_type"]
 
 
@@ -71,6 +73,8 @@ def infer_type(values: Sequence[str], majority: float = 0.6) -> DomainType:
     otherwise the set is STRING (heterogeneous sets degrade to strings, as
     they would for a parser of real form data).
     """
+    if work.ACTIVE is not None:
+        work.ACTIVE.bump("types.inferences")
     values = [v for v in values if v and v.strip()]
     if not values:
         return DomainType.STRING

@@ -36,8 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Sequence, Set, Tuple
 
-from repro.matching.similarity import AttributeView, normalize_label_words
-from repro.matching.types import infer_type
+from repro.matching.similarity import AttributeView
 from repro.util import counters as work
 
 __all__ = ["AddRecord", "BlockingIndex", "BlockingStats"]
@@ -47,7 +46,7 @@ AttrKey = Tuple[str, str]
 
 def label_tokens(view: AttributeView) -> Set[str]:
     """The label's normalised token set — the LabelSim evidence."""
-    return set(normalize_label_words(view.label))
+    return set(view.profile.label_vector)
 
 
 def value_signatures(view: AttributeView) -> Set[str]:
@@ -56,7 +55,7 @@ def value_signatures(view: AttributeView) -> Set[str]:
     Exactly the normalisation :func:`repro.matching.similarity.value_similarity`
     applies, so a pair without a shared signature has zero containment.
     """
-    return {value.strip().lower() for value in view.instances}
+    return set(view.profile.values)
 
 
 @dataclass(frozen=True)
@@ -72,19 +71,13 @@ class Signature:
 
     @classmethod
     def of(cls, view: AttributeView) -> "Signature":
-        if view.instances:
-            inferred = infer_type(view.instances)
-            type_name: Any = inferred.value
-            numeric = inferred.is_numeric
-        else:
-            type_name = None
-            numeric = False
+        profile = view.profile
         return cls(
             key=view.key,
             tokens=frozenset(label_tokens(view)),
             values=frozenset(value_signatures(view)),
-            type_name=type_name,
-            numeric=numeric,
+            type_name=profile.domain_type.value if profile.values else None,
+            numeric=bool(profile.values) and profile.domain_type.is_numeric,
         )
 
 

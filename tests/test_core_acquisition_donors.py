@@ -6,6 +6,7 @@ from repro.core.acquisition import (
     AcquisitionConfig,
     InstanceAcquirer,
     _count_similar_values,
+    _ValueIndex,
 )
 from repro.deepweb.models import Attribute, AttributeKind, QueryInterface
 from repro.surfaceweb.engine import SearchEngine
@@ -31,14 +32,16 @@ def acquirer_with(interfaces, config=None):
 
 class TestCountSimilarValues:
     def test_exact_matches(self):
-        assert _count_similar_values(["a", "b"], ["A", "c"]) == 1
+        assert _count_similar_values(
+            _ValueIndex(["a", "b"]), _ValueIndex(["A", "c"])) == 1
 
     def test_word_overlap_matches(self):
         assert _count_similar_values(
-            ["United Airlines"], ["United", "Delta"]) == 1
+            _ValueIndex(["United Airlines"]),
+            _ValueIndex(["United", "Delta"])) == 1
 
     def test_empty(self):
-        assert _count_similar_values([], ["a"]) == 0
+        assert _count_similar_values(_ValueIndex([]), _ValueIndex(["a"])) == 0
 
 
 class TestCase1Donors:
