@@ -5,11 +5,12 @@ acquisition loop brackets every unit of work — one ``(phase, interface,
 attribute)`` iteration — with :meth:`~CheckpointSession.replay_unit` /
 :meth:`~CheckpointSession.begin_unit` / :meth:`~CheckpointSession.commit_unit`:
 
-- **Fresh unit** (journal exhausted): ``begin_unit`` marks every counter
-  and memo store, the real work runs, ``commit_unit`` captures the deltas
-  — instances added, record fields, engine/probe round trips, validation
-  and probe-memo growth, cache content ops — plus a snapshot of the
-  resilience/cache counters, and durably appends the record. The armed
+- **Fresh unit** (journal exhausted): ``begin_unit`` marks every memo
+  store, the real work runs, ``commit_unit`` captures the deltas —
+  instances added, record fields, validation and probe-memo growth, cache
+  content ops — plus the unit's engine/probe round trips as the acquirer
+  measured them and a snapshot of the resilience/cache counters, and
+  durably appends the record. The armed
   :class:`~repro.resilience.KillSwitch`, if any, fires *after* the append:
   the journal boundary is exactly where the process may die.
 - **Replayed unit** (journal has a record left): the recorded effects are
@@ -144,8 +145,6 @@ class UnitCapture:
     """Pre-unit marks a fresh unit's deltas are measured against."""
 
     unit_key: Tuple[str, str, str]
-    engine_before: int
-    probes_before: int
     acquired_before: int
     store_marks: Dict[str, Tuple[int, int, int]]
     memo_mark: int
@@ -334,7 +333,7 @@ class CheckpointSession:
     # ---------------------------------------------------------- fresh units
     def begin_unit(self, unit_key: Tuple[str, str, str], attribute,
                    sabotage: bool = True) -> UnitCapture:
-        """Mark every counter a fresh unit's deltas are measured against.
+        """Mark every store a fresh unit's deltas are measured against.
 
         With supervision attached, this is also where the unit-fault
         saboteur fires (``sabotage=False`` suppresses it — used for
@@ -345,8 +344,6 @@ class CheckpointSession:
             self._unit_faults.check(tuple(unit_key))
         return UnitCapture(
             unit_key=tuple(unit_key),
-            engine_before=self._engine_count(),
-            probes_before=self._probe_count(),
             acquired_before=len(attribute.acquired),
             store_marks={
                 name: store.mark()
@@ -360,8 +357,12 @@ class CheckpointSession:
         )
 
     def commit_unit(self, capture: UnitCapture, attribute, record,
-                    skipped: bool = False, quarantined: bool = False) -> int:
+                    cost: Tuple[int, int], skipped: bool = False,
+                    quarantined: bool = False) -> int:
         """Durably journal a completed fresh unit; then maybe die.
+
+        ``cost`` is the unit's ``(queries, probes)``, measured once by the
+        acquirer, which charges the same numbers to its phase.
 
         The armed kill switch is checked *after* the append returns — the
         record is on disk before the simulated crash, which is exactly
@@ -394,8 +395,8 @@ class CheckpointSession:
                 field_name: getattr(record, field_name)
                 for field_name in RECORD_FIELDS
             },
-            "queries": self._engine_count() - capture.engine_before,
-            "probes": self._probe_count() - capture.probes_before,
+            "queries": cost[0],
+            "probes": cost[1],
             "stores": stores,
             "probe_memo": memo_delta,
             "cache_ops": [_encode_op(op) for op in self._ops[capture.ops_mark:]],
@@ -474,7 +475,7 @@ class CheckpointSession:
         if self._client is not None:
             state["client"] = self._client.state_payload()
         if self._cache is not None:
-            state["cache_stats"] = self._cache.stats.state_payload()
+            state["cache_stats"] = self._cache.stats.to_dict()
         if self._faults is not None and self._sources:
             state["source_draws"] = {
                 source_id: self._faults.draws.get(source_id, 0)
@@ -498,7 +499,7 @@ class CheckpointSession:
                     "journal carries cache stats but this run has no "
                     "query cache"
                 )
-            self._cache.stats.restore_state(cache_state)
+            self._cache.stats.load_dict(cache_state)
         for source_id, draws in state.get("source_draws", {}).items():
             if self._faults is None or source_id not in self._sources:
                 raise JournalMismatchError(

@@ -76,15 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--no-attr-surface", action="store_true")
     run.add_argument("--json", metavar="PATH",
                      help="write the full run result as JSON")
-    run.add_argument("--fault-rate", type=float, default=0.0,
-                     help="inject Web faults at this rate (0..1) and run "
-                          "behind the resilience layer")
-    run.add_argument("--fault-seed", type=int, default=0,
-                     help="seed of the fault streams (default 0)")
-    run.add_argument("--probe-budget", type=int, default=None,
-                     help="cap on Attr-Deep form submissions per run")
-    run.add_argument("--query-budget", type=int, default=None,
-                     help="cap on search-engine round trips per component")
+    _fault_flags(run)
     run.add_argument("--degradation", action="store_true",
                      help="print the full degradation report")
     run.add_argument("--cache", action=argparse.BooleanOptionalAction,
@@ -279,14 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "service registry at DIR")
     request.add_argument("--threshold", type=float, default=0.0,
                          help="clustering threshold tau (default 0.0)")
-    request.add_argument("--fault-rate", type=float, default=0.0,
-                         help="inject Web faults at this rate (0..1)")
-    request.add_argument("--fault-seed", type=int, default=0,
-                         help="seed of the fault streams (default 0)")
-    request.add_argument("--probe-budget", type=int, default=None,
-                         help="cap on Attr-Deep form submissions")
-    request.add_argument("--query-budget", type=int, default=None,
-                         help="cap on engine round trips per component")
+    _fault_flags(request)
     request.add_argument("--json", metavar="PATH",
                          help="write the run export as JSON")
     request.add_argument("--strip-service", action="store_true",
@@ -328,6 +313,19 @@ def _registry_matching_flags(parser: argparse.ArgumentParser) -> None:
                         help="inter-cluster linkage (default average)")
 
 
+def _fault_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--fault-rate", type=float, default=0.0,
+                        help="inject Web faults at this rate (0..1) and run "
+                             "behind the resilience layer")
+    parser.add_argument("--fault-seed", type=int, default=0,
+                        help="seed of the fault streams (default 0)")
+    parser.add_argument("--probe-budget", type=int, default=None,
+                        help="cap on Attr-Deep form submissions per run")
+    parser.add_argument("--query-budget", type=int, default=None,
+                        help="cap on search-engine round trips per "
+                             "component")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {
@@ -363,28 +361,35 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _resilience_config(args):
-    """Build the run's ResilienceConfig from CLI flags, or None."""
-    if not 0.0 <= args.fault_rate <= 1.0:
-        raise SystemExit(
-            f"repro run: error: --fault-rate must be within [0, 1], "
-            f"got {args.fault_rate}")
-    wants_resilience = (
-        args.fault_rate > 0.0
-        or args.probe_budget is not None
-        or args.query_budget is not None
-        or args.degradation
-    )
-    if not wants_resilience:
+def _resilience_config(fault_rate, fault_seed, probe_budget, query_budget,
+                       wanted=False):
+    """The ResilienceConfig these fault/budget settings ask for, or None
+    when none is set and ``wanted`` is false. A bad value raises the
+    config's ValueError."""
+    if not (wanted or fault_rate != 0.0 or probe_budget is not None
+            or query_budget is not None):
         return None
     from repro.resilience import FaultProfile, ResilienceConfig
 
     return ResilienceConfig(
-        profile=FaultProfile(fault_rate=args.fault_rate, seed=args.fault_seed),
-        surface_query_budget=args.query_budget,
-        attr_surface_query_budget=args.query_budget,
-        attr_deep_probe_budget=args.probe_budget,
+        profile=FaultProfile(fault_rate=fault_rate, seed=fault_seed),
+        surface_query_budget=query_budget,
+        attr_surface_query_budget=query_budget,
+        attr_deep_probe_budget=probe_budget,
     )
+
+
+def _flag_resilience(args, command: str, wanted: bool = False):
+    """:func:`_resilience_config` from the :func:`_fault_flags`; a bad
+    value is a usage error (exit 1)."""
+    try:
+        return _resilience_config(args.fault_rate, args.fault_seed,
+                                  args.probe_budget, args.query_budget,
+                                  wanted)
+    except ValueError as exc:
+        raise SystemExit(
+            f"repro {command}: error: bad --fault-rate/--probe-budget/"
+            f"--query-budget: {exc}")
 
 
 def _cache_config(args):
@@ -493,7 +498,7 @@ def _cmd_run(args) -> int:
         enable_attr_deep=not (args.baseline or args.no_attr_deep),
         enable_attr_surface=not (args.baseline or args.no_attr_surface),
         threshold=args.threshold,
-        resilience=_resilience_config(args),
+        resilience=_flag_resilience(args, "run", wanted=args.degradation),
         cache=_cache_config(args),
         obs=_obs_config(args),
         checkpoint=_checkpoint_config(args),
@@ -690,13 +695,15 @@ def _scripted_request(entry, position: int):
             f"request {position}: unknown keys {sorted(unknown)}")
     if "domain" not in entry:
         raise ValueError(f"request {position}: missing 'domain'")
-    config = _service_run_config(
-        threshold=entry.get("threshold", 0.0),
-        fault_rate=entry.get("fault_rate", 0.0),
-        fault_seed=entry.get("fault_seed", 0),
-        probe_budget=entry.get("probe_budget"),
-        query_budget=entry.get("query_budget"),
-    )
+    try:
+        resilience = _resilience_config(
+            entry.get("fault_rate", 0.0), entry.get("fault_seed", 0),
+            entry.get("probe_budget"), entry.get("query_budget"))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"request {position}: {exc}") from None
+    # the service forces the cache on anyway
+    config = WebIQConfig(threshold=entry.get("threshold", 0.0),
+                         resilience=resilience)
     return MatchRequest(
         tenant=entry.get("tenant", "anon"),
         domain=entry["domain"],
@@ -707,23 +714,6 @@ def _scripted_request(entry, position: int):
         assimilate=bool(entry.get("assimilate", False)),
         cost=float(entry.get("cost", 1.0)),
     )
-
-
-def _service_run_config(*, threshold=0.0, fault_rate=0.0, fault_seed=0,
-                        probe_budget=None, query_budget=None):
-    """A WebIQConfig for a service request (cache is forced on anyway)."""
-    resilience = None
-    if fault_rate > 0.0 or probe_budget is not None \
-            or query_budget is not None:
-        from repro.resilience import FaultProfile, ResilienceConfig
-
-        resilience = ResilienceConfig(
-            profile=FaultProfile(fault_rate=fault_rate, seed=fault_seed),
-            surface_query_budget=query_budget,
-            attr_surface_query_budget=query_budget,
-            attr_deep_probe_budget=probe_budget,
-        )
-    return WebIQConfig(threshold=threshold, resilience=resilience)
 
 
 def _cmd_serve(args) -> int:
@@ -823,19 +813,14 @@ def _cmd_request(args) -> int:
     if args.domain == "all":
         raise SystemExit(
             "repro request: error: needs a single --domain")
-    if not 0.0 <= args.fault_rate <= 1.0:
-        raise SystemExit(
-            f"repro request: error: --fault-rate must be within [0, 1], "
-            f"got {args.fault_rate}")
+    config = WebIQConfig(threshold=args.threshold,
+                         resilience=_flag_resilience(args, "request"))
     service = MatchingService(ServiceConfig(
         spool_dir=args.spool, registry_dir=args.registry))
     request = MatchRequest(
         tenant=args.tenant, domain=args.domain,
         n_interfaces=args.interfaces, seed=args.seed,
-        config=_service_run_config(
-            threshold=args.threshold, fault_rate=args.fault_rate,
-            fault_seed=args.fault_seed, probe_budget=args.probe_budget,
-            query_budget=args.query_budget),
+        config=config,
         deadline_seconds=args.deadline,
         assimilate=args.registry is not None,
     )

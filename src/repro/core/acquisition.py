@@ -30,7 +30,7 @@ record order, so the plan *is* the journal-boundary layout.
 
 from __future__ import annotations
 
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -42,7 +42,12 @@ from repro.deepweb.models import Attribute, QueryInterface
 from repro.deepweb.source import DeepWebSource
 from repro.exec.context import unit_scope
 from repro.exec.dag import ExecutionDAG, WorkUnit
-from repro.matching.similarity import containment, label_similarity, values_similar
+from repro.matching.similarity import (
+    containment,
+    label_cosine,
+    label_vector,
+    values_similar,
+)
 from repro.obs.instrument import Observability
 from repro.obs.provenance import (
     PHASE_ATTR_DEEP,
@@ -56,6 +61,7 @@ from repro.perf.cache import ValidationCache
 from repro.resilience.client import ResilientClient
 from repro.surfaceweb.engine import SearchEngine
 from repro.util.clock import SimulatedClock
+from repro.webstack import component_scope
 
 __all__ = [
     "AcquisitionConfig",
@@ -168,9 +174,10 @@ class InstanceAcquirer:
         checkpoint: Optional[CheckpointSession] = None,
     ) -> None:
         """``engine`` and ``sources`` may be the raw substrates or the
-        facades of a :func:`~repro.webstack.build_web_stack` call chain;
-        pass the chain's ``resilience`` client to enable per-component
-        budget attribution and graceful budget-exhaustion skipping.
+        facades of a :func:`~repro.webstack.build_web_stack` call chain,
+        whose calls each phase spends on its own component; pass the
+        chain's ``resilience`` client to skip attributes gracefully once
+        their component's budget is exhausted.
 
         ``validation_cache``, when given, is shared by Surface discovery
         and the Attr-Surface classifier so they reuse each other's hit
@@ -182,7 +189,7 @@ class InstanceAcquirer:
         run's totals at the end; per-phase charging is equivalent — the
         same per-account count is charged exactly once — but gives
         observability spans meaningful end timestamps). ``obs`` wraps
-        every phase in a trace span and scopes call attribution.
+        every phase in a trace span.
 
         ``checkpoint``, when given, brackets every per-attribute unit of
         work: completed units are journaled durably, and on resume the
@@ -203,9 +210,11 @@ class InstanceAcquirer:
         # to a (phase, interface, attribute) and quarantine repeat
         # offenders.
         self._current_unit: Optional[Tuple[str, str, str]] = None
-        # Donor-scoring indexes, keyed by value content; lives for one
-        # acquire() call (instance lists grow as the run proceeds).
+        # Donor-scoring indexes, keyed by value content, and label word
+        # vectors, keyed by label; both live for one acquire() call
+        # (instance lists grow as the run proceeds).
         self._value_indexes: Dict[tuple, _ValueIndex] = {}
+        self._label_vectors: Dict[str, Tuple[Dict[str, int], float]] = {}
         self.validation_cache = validation_cache
         self._discoverer = SurfaceDiscoverer(
             engine, config.surface, validation_cache=validation_cache,
@@ -264,6 +273,7 @@ class InstanceAcquirer:
             raise
         finally:
             self._value_indexes.clear()
+            self._label_vectors.clear()
 
     def _acquire(
         self,
@@ -383,31 +393,35 @@ class InstanceAcquirer:
         replayed = self._replayed(unit.phase, unit.interface, unit.attribute,
                                   unit.record)
         if replayed is not None:
-            return (replayed.probes if unit.phase == "attr_deep"
-                    else replayed.queries)
-        if self._skip_quarantined(unit.phase, unit.interface, unit.attribute,
-                                  unit.record):
+            queries, probes = replayed.queries, replayed.probes
+        elif self._skip_quarantined(unit.phase, unit.interface,
+                                    unit.attribute, unit.record):
             return 0
-        # The unit scope partitions every sequential random stream
-        # (backoff jitter, source fault fates) by unit key, making the
-        # unit's draws independent of execution order and resume point.
-        with unit_scope(unit.key):
-            return self._fresh_unit(unit)
+        else:
+            # The unit scope partitions every sequential random stream
+            # (backoff jitter, source fault fates) by unit key, making the
+            # unit's draws independent of execution order and resume point.
+            with unit_scope(unit.key):
+                queries, probes = self._fresh_unit(unit)
+        return probes if unit.phase == "attr_deep" else queries
 
-    def _fresh_unit(self, unit: WorkUnit) -> int:
+    def _fresh_unit(self, unit: WorkUnit) -> Tuple[int, int]:
+        """Run one unit fresh and journal it; returns its ``(queries,
+        probes)``, measured here once for the phase charge and the
+        journal record alike."""
         interface, attribute, record = unit.interface, unit.attribute, unit.record
         capture = self._begin(unit.phase, interface, attribute)
-        before = self._cost_mark(unit.phase)
         if unit.phase == "attr_deep" \
                 and record.n_after_surface >= self.config.k:
             record.n_after_borrow = record.n_after_surface
             # step 1.a succeeded — still a (zero-cost) journal
             # boundary, so replay enumerates the same units
-            self._commit(capture, attribute, record)
-            return 0
+            self._commit(capture, attribute, record, (0, 0))
+            return 0, 0
         if self._skip_exhausted(unit.phase, interface, attribute):
-            self._commit(capture, attribute, record, skipped=True)
-            return 0
+            self._commit(capture, attribute, record, (0, 0), skipped=True)
+            return 0, 0
+        queries, probes = self._round_trips()
         if unit.phase == "surface":
             record.surface_attempted = True
             with self._subject(interface.interface_id, attribute.name):
@@ -424,15 +438,15 @@ class InstanceAcquirer:
             record.borrow_surface_attempted = True
             self._borrow_via_surface(interface, attribute)
             record.n_after_borrow = self._acquired_count(attribute)
-        cost = self._cost_mark(unit.phase) - before
-        self._commit(capture, attribute, record)
+        queries_after, probes_after = self._round_trips()
+        cost = (queries_after - queries, probes_after - probes)
+        self._commit(capture, attribute, record, cost)
         return cost
 
-    def _cost_mark(self, phase: str) -> int:
-        """The round-trip counter a phase's unit costs are measured on."""
-        if phase == "attr_deep":
-            return self._total_probes()
-        return self.engine.query_count
+    def _round_trips(self) -> Tuple[int, int]:
+        """The raw substrates' ``(queries, probes)`` counters, as of now."""
+        return (self.engine.query_count,
+                sum(s.probe_count for s in self.sources.values()))
 
     def _borrow_via_deep(self, interface: QueryInterface,
                          attribute: Attribute) -> None:
@@ -491,8 +505,9 @@ class InstanceAcquirer:
             if y.name != attribute.name and y.instances
         ]
         scored: List[Tuple[float, str, Attribute]] = []
+        target = self._label_vector(attribute.label)
         for other_interface, donor in self._donor_candidates(interface):
-            sim = label_similarity(attribute.label, donor.label)
+            sim = label_cosine(*target, *self._label_vector(donor.label))
             if sim < self.config.label_sim_threshold:
                 continue
             donor_values = self._value_index(donor).normalized
@@ -602,7 +617,8 @@ class InstanceAcquirer:
             unit_key, attribute, sabotage=False
         )
         self.checkpoint.commit_unit(
-            capture, attribute, record, skipped=True, quarantined=True
+            capture, attribute, record, (0, 0), skipped=True,
+            quarantined=True,
         )
         return True
 
@@ -616,10 +632,11 @@ class InstanceAcquirer:
         )
 
     def _commit(self, capture: Optional[UnitCapture], attribute: Attribute,
-                record: AcquisitionRecord, skipped: bool = False) -> None:
+                record: AcquisitionRecord, cost: Tuple[int, int],
+                skipped: bool = False) -> None:
         if self.checkpoint is not None and capture is not None:
             self.checkpoint.commit_unit(
-                capture, attribute, record, skipped=skipped
+                capture, attribute, record, cost, skipped=skipped
             )
         self._current_unit = None
 
@@ -641,14 +658,14 @@ class InstanceAcquirer:
 
     @contextmanager
     def _phase(self, name: str) -> Iterator[None]:
-        """Phase scope: trace span + metrics component (when observed) and
-        budget/accounting attribution (when resilient). No-op otherwise."""
-        with ExitStack() as stack:
-            if self.obs is not None:
-                stack.enter_context(self.obs.phase(name))
-            if self.resilience is not None:
-                stack.enter_context(self.resilience.component(name))
-            yield
+        """Phase scope: every Web call inside is spent on component
+        ``name``; observed runs also get a ``phase`` trace span."""
+        with component_scope(name):
+            if self.obs is None:
+                yield
+            else:
+                with self.obs.tracer.span(name, kind="phase"):
+                    yield
 
     def _skip_exhausted(self, component: str, interface: QueryInterface,
                         attribute: Attribute) -> bool:
@@ -673,6 +690,14 @@ class InstanceAcquirer:
                 attribute.all_instances())
         return index
 
+    def _label_vector(self, label: str) -> Tuple[Dict[str, int], float]:
+        """:func:`~repro.matching.similarity.label_vector` of ``label``,
+        built once within this acquire() call."""
+        vector = self._label_vectors.get(label)
+        if vector is None:
+            vector = self._label_vectors[label] = label_vector(label)
+        return vector
+
     def _donor_candidates(self, interface: QueryInterface):
         """Attributes whose instance sets are trustworthy donor domains.
 
@@ -693,9 +718,6 @@ class InstanceAcquirer:
     def _acquired_count(attribute: Attribute) -> int:
         return len(attribute.all_instances()) if not attribute.has_instances \
             else len(attribute.acquired)
-
-    def _total_probes(self) -> int:
-        return sum(s.probe_count for s in self.sources.values())
 
 
 class _ValueIndex:

@@ -325,7 +325,8 @@ class WebIQMatcher:
             )
             with ExitStack() as match_scope:
                 if obs is not None:
-                    match_scope.enter_context(obs.phase("matching"))
+                    match_scope.enter_context(
+                        obs.tracer.span("matching", kind="phase"))
                 match_result = matcher.match(
                     dataset.interfaces, threshold=self.config.threshold
                 )

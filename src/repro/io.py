@@ -179,36 +179,13 @@ def acquisition_report_to_dict(report: AcquisitionReport) -> Dict[str, Any]:
 
 def degradation_report_to_dict(report: DegradationReport) -> Dict[str, Any]:
     """The resilience layer's account of faults survived and work given up."""
-    return {
-        "degraded": report.degraded,
-        "faults_by_kind": dict(report.faults_by_kind),
-        "faults_by_component": dict(report.faults_by_component),
-        "retries_by_component": dict(report.retries_by_component),
-        "backoff_seconds_by_component": dict(
-            report.backoff_seconds_by_component
-        ),
-        "giveups_by_component": dict(report.giveups_by_component),
-        "breaker_trips": dict(report.breaker_trips),
-        "breaker_rejections": dict(report.breaker_rejections),
-        "budgets_exhausted": list(report.budgets_exhausted),
-        "attributes_skipped": [list(pair) for pair in report.attributes_skipped],
-        "budget_spent_by_component": dict(report.budget_spent_by_component),
-    }
+    return {"degraded": report.degraded, **report.to_dict()}
 
 
 def cache_stats_to_dict(stats: CacheStats) -> Dict[str, Any]:
     """The query cache's account of round trips saved."""
-    return {
-        "max_entries": stats.max_entries,
-        "hits": stats.hits,
-        "misses": stats.misses,
-        "hit_rate": stats.hit_rate,
-        "evictions": stats.evictions,
-        "stores": stats.stores,
-        "uncacheable": stats.uncacheable,
-        "hits_by_kind": dict(stats.hits_by_kind),
-        "misses_by_kind": dict(stats.misses_by_kind),
-    }
+    return {"max_entries": stats.max_entries, "hit_rate": stats.hit_rate,
+            **stats.to_dict()}
 
 
 def checkpoint_report_to_dict(report: CheckpointReport) -> Dict[str, Any]:

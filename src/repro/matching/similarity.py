@@ -35,6 +35,8 @@ __all__ = [
     "AttributeView",
     "SimilarityConfig",
     "label_similarity",
+    "label_vector",
+    "label_cosine",
     "value_similarity",
     "domain_similarity",
     "attribute_similarity",
@@ -69,9 +71,9 @@ class AttributeProfile:
     Built by :attr:`AttributeView.profile`; never mutated afterwards.
     """
 
-    #: word counts of the normalised label (:func:`normalize_label_words`)
+    #: word counts of the normalised label and their Euclidean norm
+    #: (:func:`label_vector`)
     label_vector: Dict[str, int]
-    #: Euclidean norm of ``label_vector``; 0.0 for a label without words
     label_norm: float
     #: the inferred domain type (:func:`infer_type`)
     domain_type: DomainType
@@ -100,14 +102,12 @@ class AttributeView:
         """This view's similarity features, built on first use and kept
         for the view's lifetime (views are immutable, so it never goes
         stale)."""
-        vector: Dict[str, int] = {}
-        for word in normalize_label_words(self.label):
-            vector[word] = vector.get(word, 0) + 1
+        vector, norm = label_vector(self.label)
         instances = self.instances
         domain_type = infer_type(instances) if instances else DomainType.STRING
         return AttributeProfile(
             label_vector=vector,
-            label_norm=math.sqrt(sum(v * v for v in vector.values())),
+            label_norm=norm,
             domain_type=domain_type,
             numeric_range=(_numeric_range(instances)
                            if domain_type.is_numeric else None),
@@ -152,6 +152,25 @@ def label_similarity(label_a: str, label_b: str) -> float:
         sum(v * v for v in vec_b.values())
     )
     return dot / norm if norm else 0.0
+
+
+def label_vector(label: str) -> Tuple[Dict[str, int], float]:
+    """The word counts of :func:`normalize_label_words` and their
+    Euclidean norm (0.0 for a label without words)."""
+    vector: Dict[str, int] = {}
+    for word in normalize_label_words(label):
+        vector[word] = vector.get(word, 0) + 1
+    return vector, math.sqrt(sum(v * v for v in vector.values()))
+
+
+def label_cosine(vector_a: Dict[str, int], norm_a: float,
+                 vector_b: Dict[str, int], norm_b: float) -> float:
+    """:func:`label_similarity` over two :func:`label_vector` results
+    (same float: same integer dot, same ``sqrt·sqrt`` denominator)."""
+    if not norm_a or not norm_b:
+        return 0.0
+    dot = sum(n * vector_b.get(w, 0) for w, n in vector_a.items())
+    return dot / (norm_a * norm_b)
 
 
 def values_similar(value_a: str, value_b: str) -> bool:
@@ -257,18 +276,10 @@ def similarity_components(
     if work.ACTIVE is not None:
         work.ACTIVE.bump("similarity.evaluations")
     profile_a, profile_b = a.profile, b.profile
-    label_sim = _profile_label_similarity(profile_a, profile_b)
+    label_sim = label_cosine(profile_a.label_vector, profile_a.label_norm,
+                             profile_b.label_vector, profile_b.label_norm)
     dom_sim = _profile_domain_similarity(profile_a, profile_b, config)
     return label_sim, dom_sim, config.alpha * label_sim + config.beta * dom_sim
-
-
-def _profile_label_similarity(a: AttributeProfile, b: AttributeProfile) -> float:
-    """:func:`label_similarity` over two profiles (same float)."""
-    if not a.label_norm or not b.label_norm:
-        return 0.0
-    vec_b = b.label_vector
-    dot = sum(n * vec_b.get(w, 0) for w, n in a.label_vector.items())
-    return dot / (a.label_norm * b.label_norm)
 
 
 def _profile_domain_similarity(

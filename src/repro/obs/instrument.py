@@ -1,10 +1,7 @@
 """Observability plumbing: the per-run bundle and the observe layers.
 
-:class:`Observability` carries one run's :class:`~repro.obs.trace.Tracer`
-and :class:`~repro.obs.metrics.MetricsRegistry` plus the *component scope*
-(which pipeline phase is currently executing), so instrumentation anywhere
-in the stack can attribute what it sees without threading extra arguments
-through every call.
+:class:`Observability` carries one run's :class:`~repro.obs.trace.Tracer`,
+:class:`~repro.obs.metrics.MetricsRegistry` and provenance recorder.
 
 :func:`observe_layer` builds the pass-through layers inserted at two
 depths of the Web call chain (:mod:`repro.webstack`)::
@@ -14,15 +11,13 @@ depths of the Web call chain (:mod:`repro.webstack`)::
         observe(layer="transport")  # what escapes the cache
           retry -> fault -> SearchEngine / DeepWebSource
 
-The entry layer counts every engine call a component issues; the
-transport layer counts the calls that actually head for the (possibly
-flaky) Web and, by differencing the substrate's ``query_count`` /
-``probe_count`` around each call, how many *real round trips* the call
-cost (retries included). Those two independent tallies are what give the
-:class:`~repro.obs.invariants.InvariantChecker` its conservation laws:
-entry calls must equal cache hits + misses, transport calls must equal
-cache misses, transport round trips must equal the stopwatch's per-account
-query counts and the resilience budgets' spend.
+Each observed call writes one ``web.calls`` / ``web.round_trips``
+counter bump and, with ``trace_calls``, one ``web_call`` trace event,
+labelled with the layer, the substrate and the component the facade
+stamped on the :class:`~repro.webstack.Call`. Round trips are measured by
+differencing the raw substrate's ``query_count`` / ``probe_count`` around
+the call, so retries count and cache hits do not. DESIGN.md §3 maps
+which of these views each law of :mod:`repro.obs.invariants` audits.
 
 The layers are strictly read-only observers: they consume no randomness,
 swallow no exceptions and leave the call record untouched, so cached and
@@ -31,9 +26,8 @@ resilient behaviour is bit-identical with or without them.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Iterator, List, Optional
+from typing import Any, Optional
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.provenance import (
@@ -57,9 +51,6 @@ LAYER_ENTRY = "entry"
 #: substrate (below any cache): everything here goes to the "Web".
 LAYER_TRANSPORT = "transport"
 
-#: Component label outside any phase scope.
-DEFAULT_COMPONENT = "web"
-
 
 @dataclass(frozen=True)
 class ObsConfig:
@@ -82,7 +73,7 @@ class ObsConfig:
 
 
 class Observability:
-    """One run's tracer + metrics registry + provenance + component scope."""
+    """One run's tracer + metrics registry + provenance recorder."""
 
     def __init__(
         self,
@@ -102,28 +93,6 @@ class Observability:
         self.counters: Optional[WorkCounters] = (
             WorkCounters() if config.profile else None
         )
-        self._components: List[str] = []
-
-    # ------------------------------------------------------------- scoping
-    @contextmanager
-    def component(self, name: str) -> Iterator[None]:
-        """Attribute observed calls inside the block to component ``name``."""
-        self._components.append(name)
-        try:
-            yield
-        finally:
-            self._components.pop()
-
-    @property
-    def active_component(self) -> str:
-        return self._components[-1] if self._components else DEFAULT_COMPONENT
-
-    @contextmanager
-    def phase(self, name: str, **attrs: Any) -> Iterator[None]:
-        """A pipeline phase: a trace span plus a component scope."""
-        with self.tracer.span(name, kind="phase", **attrs):
-            with self.component(name):
-                yield
 
     # ------------------------------------------------------------ recording
     def record_call(
@@ -131,12 +100,12 @@ class Observability:
         layer: str,
         substrate: str,
         method: str,
+        component: str,
         round_trips: int,
         **attrs: Any,
     ) -> None:
         """One observed Web-stack call: a counter bump and (optionally) a
-        trace event, attributed to the active component."""
-        component = self.active_component
+        trace event, attributed to ``component``."""
         self.metrics.counter(
             "web.calls", layer=layer, substrate=substrate, component=component
         ).inc()
@@ -179,7 +148,7 @@ def observe_layer(obs: Observability, layer: str):
         before = call.round_trips
         result = proceed(call)
         attrs = {} if call.source_id is None else {"source": call.source_id}
-        obs.record_call(layer, call.kind, call.method,
+        obs.record_call(layer, call.kind, call.method, call.component,
                         call.round_trips - before, **attrs)
         return result
 

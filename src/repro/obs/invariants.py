@@ -1,30 +1,24 @@
-"""Cross-layer conservation laws over a finished pipeline run.
+"""Cross-mechanism conservation laws over a finished pipeline run.
 
-The pipeline now has four accounting systems that observe the same
-underlying traffic from different layers:
+Every Web event of a run has exactly one writer (DESIGN.md §3 maps each
+event to its writer and its exported views): the substrates count round
+trips, the acquirer measures each unit's cost, the cache layer counts
+lookups, the retry layer counts budget charges and retry-loop decisions,
+the fault layer counts injections, and the observe layers count calls.
+A law here relates two *different* writers of the same traffic — entry
+calls against cache lookups, transport round trips against the
+acquirer's charges, budget charges against the substrate counters,
+injected faults against their fates in the retry loop, the journal
+against the raw substrate counters. Two views of one writer always agree
+and are not checked: that would only prove a writer consistent with
+itself.
 
-- the :class:`~repro.util.clock.SimulatedClock` stopwatch (per-account
-  seconds *and* round-trip counts, charged per phase);
-- the resilience layer's :class:`~repro.resilience.DegradationReport`
-  (faults, retries, give-ups, breaker trips, budget spend);
-- the perf layer's :class:`~repro.perf.CacheStats` (hits, misses, stores);
-- the :mod:`repro.obs` trace/metrics (per-call counts at the cache entry
-  and at the transport layer, with measured round-trip deltas).
-
-None of them is derived from another: the stopwatch differences substrate
-counters per phase, the degradation report counts retry-loop decisions,
-the cache counts lookups, and the observe layers count individual
-calls. When the stack is wired correctly they must agree exactly — every
-call entering the cache is a hit or a miss, every miss reaches the
-transport, every transport round trip is charged to the stopwatch and to
-the component's budget, every raised fault ends in a retry, a give-up or a
-breaker trip. :class:`InvariantChecker` asserts those identities, turning
-any benchmark or test run into a whole-stack correctness check: a single
-missed or double-counted call anywhere breaks a conservation law.
-
-Checks degrade gracefully with the run's configuration: each law is only
-evaluated when the layers it relates were active, and the report lists
-which checks ran so a suite can assert it exercised what it meant to.
+:class:`InvariantChecker` asserts those identities, turning any benchmark
+or test run into a whole-stack correctness check: a single missed or
+double-counted call anywhere breaks a law. Checks degrade gracefully with
+the run's configuration: each law is only evaluated when the layers it
+relates were active, and the report lists which checks ran so a suite
+can assert it exercised what it meant to.
 """
 
 from __future__ import annotations
@@ -33,13 +27,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, List, Optional
 
-from repro.obs.instrument import (
-    DEFAULT_COMPONENT,
-    LAYER_ENTRY,
-    LAYER_TRANSPORT,
-    Observability,
-)
+from repro.obs.instrument import LAYER_ENTRY, LAYER_TRANSPORT, Observability
 from repro.obs.provenance import PRUNE_STAGES, ProvenanceRecorder
+from repro.webstack import DEFAULT_COMPONENT
 
 __all__ = ["InvariantViolation", "InvariantReport", "InvariantChecker", "check_run"]
 
@@ -101,7 +91,6 @@ class InvariantChecker:
         obs: Optional[Observability] = getattr(result, "obs", None)
         cache = result.cache
         degradation = result.degradation
-        trace_calls = obs is not None and obs.config.trace_calls
         domain = getattr(result, "domain", None) or "?"
         seed = getattr(result, "seed", None)
         self._context = (
@@ -118,16 +107,9 @@ class InvariantChecker:
             self._check_cache_layer_conservation(report, obs, cache)
         if obs is not None and result.acquisition is not None:
             self._check_round_trip_conservation(report, obs, result)
-        if result.acquisition is not None:
-            self._check_stopwatch_accounting(report, result)
         if degradation is not None:
             self._check_fault_fate_conservation(report, degradation)
             self._check_budget_conservation(report, result, obs)
-        if obs is not None and degradation is not None:
-            self._check_retry_conservation(report, obs, degradation,
-                                           trace_calls)
-        if trace_calls:
-            self._check_trace_metrics_consistency(report, obs)
         provenance = obs.provenance if obs is not None else None
         if provenance is not None:
             self._check_lineage_conservation(report, provenance, result)
@@ -135,8 +117,6 @@ class InvariantChecker:
             self._check_match_conservation(report, provenance, result)
         checkpoint = getattr(result, "checkpoint", None)
         if checkpoint is not None and result.acquisition is not None:
-            self._check_checkpoint_spend_conservation(report, checkpoint,
-                                                      result)
             self._check_checkpoint_replay_isolation(report, checkpoint)
         supervisor = getattr(result, "supervisor", None)
         if supervisor is not None and checkpoint is not None:
@@ -242,18 +222,6 @@ class InvariantChecker:
                 report, name, transport_calls, cache.misses,
                 "transport-layer engine calls", "cache misses",
             )
-            name = "cache-metrics-consistency"
-            report.checked.append(name)
-            self._equal(
-                report, name,
-                obs.metrics.sum_counters("cache.lookups", outcome="hit"),
-                cache.hits, "cache.lookups{hit}", "CacheStats.hits",
-            )
-            self._equal(
-                report, name,
-                obs.metrics.sum_counters("cache.lookups", outcome="miss"),
-                cache.misses, "cache.lookups{miss}", "CacheStats.misses",
-            )
         else:
             name = "uncached-passthrough"
             report.checked.append(name)
@@ -289,23 +257,6 @@ class InvariantChecker:
             self._fail(
                 report, name,
                 f"{stray} transport round trips outside any component scope",
-            )
-
-    def _check_stopwatch_accounting(self, report: InvariantReport,
-                                    result) -> None:
-        name = "stopwatch-acquisition-accounting"
-        report.checked.append(name)
-        acquisition = result.acquisition
-        stopwatch = result.stopwatch
-        for component, reported in (
-            ("surface", acquisition.surface_queries),
-            ("attr_surface", acquisition.attr_surface_queries),
-            ("attr_deep", acquisition.attr_deep_probes),
-        ):
-            self._equal(
-                report, name, stopwatch.queries(component), reported,
-                f"stopwatch queries[{component}]",
-                f"acquisition report {component} count",
             )
 
     def _check_fault_fate_conservation(self, report: InvariantReport,
@@ -357,75 +308,6 @@ class InvariantChecker:
                 report, name, traced_probes, spent.get("attr_deep", 0),
                 "traced probes", "attr_deep budget spend",
             )
-
-    def _check_retry_conservation(self, report: InvariantReport,
-                                  obs: Observability, degradation,
-                                  trace_calls: bool) -> None:
-        name = "retry-conservation"
-        report.checked.append(name)
-        counted = obs.metrics.sum_counters("resilience.retries")
-        self._equal(
-            report, name, counted, degradation.total_retries,
-            "retry counter", "degradation retries",
-        )
-        for component, retries in sorted(
-            degradation.retries_by_component.items()
-        ):
-            self._equal(
-                report, name,
-                obs.metrics.sum_counters(
-                    "resilience.retries", component=component),
-                retries,
-                f"retry counter[{component}]",
-                f"degradation retries[{component}]",
-            )
-        if trace_calls:
-            self._equal(
-                report, name, obs.tracer.count_events("retry"),
-                degradation.total_retries,
-                "traced retry events", "degradation retries",
-            )
-            self._equal(
-                report, name, obs.tracer.count_events("fault"),
-                sum(degradation.faults_by_component.values()),
-                "traced fault events", "degradation faults caught",
-            )
-            self._equal(
-                report, name, obs.tracer.count_events("giveup"),
-                sum(degradation.giveups_by_component.values()),
-                "traced give-up events", "degradation give-ups",
-            )
-            self._equal(
-                report, name, obs.tracer.count_events("breaker_trip"),
-                sum(degradation.breaker_trips.values()),
-                "traced breaker trips", "degradation breaker trips",
-            )
-
-    def _check_trace_metrics_consistency(self, report: InvariantReport,
-                                         obs: Observability) -> None:
-        name = "trace-metrics-consistency"
-        report.checked.append(name)
-        for layer in (LAYER_ENTRY, LAYER_TRANSPORT):
-            for substrate in ("engine", "source"):
-                events = obs.tracer.count_events(
-                    "web_call", layer=layer, substrate=substrate)
-                calls = obs.metrics.sum_counters(
-                    "web.calls", layer=layer, substrate=substrate)
-                self._equal(
-                    report, name, events, calls,
-                    f"web_call events[{layer}/{substrate}]",
-                    f"web.calls counter[{layer}/{substrate}]",
-                )
-                traced_rt = obs.tracer.sum_event_attr(
-                    "round_trips", "web_call",
-                    layer=layer, substrate=substrate)
-                counted_rt = obs.metrics.sum_counters(
-                    "web.round_trips", layer=layer, substrate=substrate)
-                self._equal(
-                    report, name, traced_rt, counted_rt,
-                    f"traced round trips[{layer}/{substrate}]",
-                    f"web.round_trips counter[{layer}/{substrate}]",
-                )
 
     def _check_lineage_conservation(self, report: InvariantReport,
                                     provenance: ProvenanceRecorder,
@@ -516,29 +398,6 @@ class InvariantChecker:
                     f"merge step {merge.step} committed at linkage "
                     f"{merge.linkage_value} <= threshold {merge.threshold}",
                 )
-
-    def _check_checkpoint_spend_conservation(self, report: InvariantReport,
-                                             checkpoint, result) -> None:
-        """Replayed + fresh spend per component equals the stopwatch's.
-
-        The checkpoint layer accounts each unit's round trips exactly
-        once — either from the journal (replayed) or from live substrate
-        counters (fresh). Their per-component sum must land on the same
-        totals the stopwatch charged; a gap means a unit was journaled
-        with the wrong cost or double-consumed on replay.
-        """
-        name = "checkpoint-spend-conservation"
-        report.checked.append(name)
-        stopwatch = result.stopwatch
-        for component in COMPONENTS:
-            replayed = checkpoint.replayed_queries_by_component.get(
-                component, 0)
-            fresh = checkpoint.fresh_queries_by_component.get(component, 0)
-            self._equal(
-                report, name, replayed + fresh, stopwatch.queries(component),
-                f"checkpoint replayed+fresh[{component}]",
-                f"stopwatch queries[{component}]",
-            )
 
     def _check_checkpoint_replay_isolation(self, report: InvariantReport,
                                            checkpoint) -> None:

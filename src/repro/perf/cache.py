@@ -37,6 +37,7 @@ and the cache simply declines to store.
 
 from __future__ import annotations
 
+import copy
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -108,29 +109,23 @@ class CacheStats:
             f"{self.uncacheable} uncacheable"
         )
 
-    # --------------------------------------------------- checkpoint support
-    def state_payload(self) -> Dict[str, Any]:
-        """The counters as of now, JSON-ready (``max_entries`` is config,
-        not state — it travels with the run, not the journal)."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "stores": self.stores,
-            "uncacheable": self.uncacheable,
-            "hits_by_kind": dict(self.hits_by_kind),
-            "misses_by_kind": dict(self.misses_by_kind),
-        }
+    # -------------------------------------------------------------- codec
+    #: the fields :meth:`to_dict` carries (``max_entries`` is config, not
+    #: state — it travels with the run, not the journal)
+    _CODEC_FIELDS = ("hits", "misses", "evictions", "stores", "uncacheable",
+                     "hits_by_kind", "misses_by_kind")
 
-    def restore_state(self, payload: Dict[str, Any]) -> None:
-        """Inverse of :meth:`state_payload`."""
-        self.hits = payload["hits"]
-        self.misses = payload["misses"]
-        self.evictions = payload["evictions"]
-        self.stores = payload["stores"]
-        self.uncacheable = payload["uncacheable"]
-        self.hits_by_kind = dict(payload["hits_by_kind"])
-        self.misses_by_kind = dict(payload["misses_by_kind"])
+    def to_dict(self) -> Dict[str, Any]:
+        """The counters as of now, JSON-ready: the one codec both the
+        checkpoint journal and the run export write."""
+        return {name: copy.copy(getattr(self, name))
+                for name in self._CODEC_FIELDS}
+
+    def load_dict(self, payload: Dict[str, Any]) -> None:
+        """Inverse of :meth:`to_dict`, in place (the LRU counts its
+        evictions into this very object)."""
+        for name in self._CODEC_FIELDS:
+            setattr(self, name, copy.copy(payload[name]))
 
 
 class LRUCache:
@@ -220,9 +215,9 @@ class QueryCache:
 
     ``obs``, when given, is a :class:`~repro.obs.Observability` bundle;
     every lookup outcome then also bumps its ``cache.lookups`` /
-    ``cache.stores`` counters so the invariant checker can reconcile them
-    against :class:`CacheStats`. Purely observational — the cache behaves
-    identically without it.
+    ``cache.stores`` counters, the per-kind, per-outcome view the trace
+    export carries. Purely observational — the cache behaves identically
+    without it.
     """
 
     def __init__(self, max_entries: int = DEFAULT_CACHE_ENTRIES,

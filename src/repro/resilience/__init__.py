@@ -21,7 +21,6 @@ Both are layers of the one Web call chain built by
 
 from repro.resilience.client import (
     BreakerPolicy,
-    Budget,
     CircuitBreaker,
     DegradationReport,
     ResilienceConfig,
@@ -45,7 +44,6 @@ __all__ = [
     "RetryPolicy",
     "BreakerPolicy",
     "CircuitBreaker",
-    "Budget",
     "DegradationReport",
     "ResilienceConfig",
     "ResilientClient",

